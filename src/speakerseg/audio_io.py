@@ -33,8 +33,9 @@ class AudioBuffer:
             raise ValueError("sample_rate_hz must be positive")
         if samples.ndim != 1:
             raise ValueError("samples must be one-dimensional")
-        if samples.size and (np.min(samples) < -1.0 or np.max(samples) > 1.0):
-            raise ValueError("samples must lie in [-1.0, 1.0]")
+        # Written so that NaN, for which every comparison is false, fails.
+        if samples.size and not (np.min(samples) >= -1.0 and np.max(samples) <= 1.0):
+            raise ValueError("samples must be finite and lie in [-1.0, 1.0]")
 
     @property
     def duration_s(self) -> float:
@@ -61,11 +62,12 @@ class FramePlan:
 
 
 def _read_chunks(data: bytes):
-    """Yield (chunk id, payload) pairs of a RIFF body, honoring pad bytes."""
+    """Yield (chunk id, payload view) pairs of a RIFF body, honoring pad bytes."""
+    view = memoryview(data)
     pos = 12
     while pos + 8 <= len(data):
         cid, size = struct.unpack_from("<4sI", data, pos)
-        payload = data[pos + 8 : pos + 8 + size]
+        payload = view[pos + 8 : pos + 8 + size]
         if len(payload) < size:
             raise WavFormatError(f"truncated chunk {cid!r}")
         yield cid, payload
@@ -106,7 +108,11 @@ def load_wav(path) -> AudioBuffer:
     frame_bytes = 2 * n_channels
     usable = len(payload) - len(payload) % frame_bytes
     raw = np.frombuffer(payload[:usable], dtype="<i2")
-    samples = raw.astype(np.float64).reshape(-1, n_channels).mean(axis=1) / PCM_SCALE
+    samples = raw.astype(np.float64)
+    if n_channels == 1:
+        samples /= PCM_SCALE
+    else:
+        samples = samples.reshape(-1, n_channels).mean(axis=1) / PCM_SCALE
     return AudioBuffer(samples=samples, sample_rate_hz=int(sample_rate))
 
 

@@ -111,6 +111,7 @@ class RunConfig:
             gamma_c=self.gamma_c,
             verify_window_s=self.verify_window_s,
             lam=self.lam,
+            reg_epsilon=self.reg_epsilon,
             min_gap_s=self.min_gap_s,
             pitch=self.pitch_config(),
             mfcc=self.mfcc_config(),

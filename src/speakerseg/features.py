@@ -19,6 +19,13 @@ from .pitch import next_pow2
 
 LOG_FLOOR = 1e-10
 
+# Rows per block of mfcc. Every block but a short recording's only one
+# holds at least this many rows: BLAS may switch to another kernel, with
+# another summation order, for a small matrix product, and the mel
+# energies must not depend on where a block starts. Larger blocks are no
+# faster and hold more memory.
+_BLOCK_ROWS = 512
+
 
 @dataclass(frozen=True)
 class MfccConfig:
@@ -102,16 +109,18 @@ def mfcc(buffer: AudioBuffer, cfg: MfccConfig | None = None) -> FeatureMatrix:
         buffer.samples, buffer.sample_rate_hz, cfg.window_len, cfg.hop
     )
     nfft = next_pow2(cfg.window_len)
-    windowed = rows * np.hamming(cfg.window_len)
-    magnitude = np.abs(np.fft.rfft(windowed, nfft, axis=1))
-    bank = mel_filterbank(cfg.n_mel_filters, nfft, buffer.sample_rate_hz)
-    energies = magnitude @ bank.T
-    log_energies = np.log(energies + LOG_FLOOR)
-    coeffs = dct(log_energies, type=2, norm="ortho", axis=1)
-    if cfg.include_c0:
-        vectors = coeffs[:, : cfg.n_coeffs]
-    else:
-        vectors = coeffs[:, 1 : cfg.n_coeffs + 1]
+    window = np.hamming(cfg.window_len)
+    bank_t = mel_filterbank(cfg.n_mel_filters, nfft, buffer.sample_rate_hz).T
+    first = 0 if cfg.include_c0 else 1
+    vectors = np.empty((len(rows), cfg.n_coeffs))
+    # The last block also takes the remainder, so it is never short.
+    n_blocks = max(1, len(rows) // _BLOCK_ROWS)
+    bounds = [k * _BLOCK_ROWS for k in range(n_blocks)] + [len(rows)]
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        magnitude = np.abs(np.fft.rfft(rows[start:stop] * window, nfft, axis=1))
+        log_energies = np.log(magnitude @ bank_t + LOG_FLOOR)
+        coeffs = dct(log_energies, type=2, norm="ortho", axis=1)
+        vectors[start:stop] = coeffs[:, first : first + cfg.n_coeffs]
     return FeatureMatrix(vectors=vectors, times=times)
 
 

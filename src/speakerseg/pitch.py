@@ -7,9 +7,18 @@ Three interchangeable detectors over a shared lag grid:
 * real cepstrum: largest quefrency peak.
 
 All three search lags tau in [ceil(fs/max_hz), floor(fs/min_hz)] and
-return fs/tau, or 0.0 for frames that fail the voicing gate. The track
-over a recording is computed batch-wise but is numerically identical to
-calling pitch_frame per frame.
+return fs/tau, or 0.0 for frames that fail the voicing gate.
+
+The track over a recording is computed in blocks of frames spanning
+about _BLOCK_SAMPLES samples. For each lag tau, a block forms the pair
+values |x[t] - x[t+tau]| (AMDF) or x[t] * x[t+tau] (ACF) once over the
+samples it covers; each frame's sum then reads its own window of that
+buffer. A frame thus adds the same values in the same order as a
+per-frame temporary would, so the track is bit-identical to calling
+pitch_frame per frame, on any float input and for any block size. The
+cepstrum transforms each frame of a block separately. Working memory is
+a few block-sized buffers and does not grow with the length of the
+recording; only the output does.
 
 AMDF selection and voicing operate on the per-overlap-sample mean of the
 raw difference sum: the raw sum shrinks with lag simply because fewer
@@ -19,9 +28,10 @@ let white noise pass the voicing gate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import AudioBuffer, _frame_signal, plan_from_seconds
 from .errors import PreconditionError
@@ -42,6 +52,11 @@ AMDF_DIP_FRACTION = 0.5
 # median. White noise tops out near 4.8; harmonic combs reach 5.5-18.
 CEPSTRAL_Z_BASE = 3.5
 CEPSTRAL_Z_SPAN = 5.0
+
+# Samples per block of the pitch track (about 320 KB of float64 per lag
+# buffer, which keeps it in cache). The block size sets speed and
+# working memory, never the output.
+_BLOCK_SAMPLES = 40960
 
 
 @dataclass(frozen=True)
@@ -108,13 +123,13 @@ def lag_bounds(sample_rate_hz: int, cfg: PitchConfig) -> tuple[int, int]:
 def acf(frame) -> np.ndarray:
     """Autocorrelation R(tau) for tau = 0..len(frame)-1, truncated sums."""
     frame = _as_frame(frame)
-    return _acf_rows(frame[None, :], np.arange(len(frame)))[0]
+    return _lag_sums(frame, len(frame), 1, 1, np.arange(len(frame)), np.multiply)[0]
 
 
 def amdf(frame) -> np.ndarray:
     """Raw magnitude-difference sum for tau = 0..len(frame)-1 (AMDF(0) = 0)."""
     frame = _as_frame(frame)
-    return _amdf_rows(frame[None, :], np.arange(len(frame)))[0]
+    return _lag_sums(frame, len(frame), 1, 1, np.arange(len(frame)), _abs_diff)[0]
 
 
 def cepstrum(frame) -> np.ndarray:
@@ -134,25 +149,29 @@ def _as_frame(frame) -> np.ndarray:
     return frame
 
 
-def _acf_rows(rows: np.ndarray, lags: np.ndarray) -> np.ndarray:
-    n = rows.shape[1]
-    out = np.empty((rows.shape[0], len(lags)))
-    for j, tau in enumerate(lags):
-        if tau >= n:
-            out[:, j] = 0.0
-        else:
-            out[:, j] = np.sum(rows[:, : n - tau] * rows[:, tau:], axis=1)
-    return out
+def _frames_of(seg: np.ndarray, n: int, hop: int, m: int) -> np.ndarray:
+    """Read-only (m, n) view of the frames of n samples, hop apart, in seg."""
+    return sliding_window_view(seg, n)[::hop][:m]
 
 
-def _amdf_rows(rows: np.ndarray, lags: np.ndarray) -> np.ndarray:
-    n = rows.shape[1]
-    out = np.empty((rows.shape[0], len(lags)))
+def _abs_diff(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    np.subtract(a, b, out=out)
+    return np.abs(out, out=out)
+
+
+def _lag_sums(seg: np.ndarray, n: int, hop: int, m: int, lags, pair) -> np.ndarray:
+    """(m, len(lags)) sums of pair(x[i], x[i + tau]) over i < n - tau per frame.
+
+    seg holds m frames of n samples, hop apart, and every tau < n. Each
+    lag's pair values are formed once over seg into one reused buffer,
+    where frame k's pairs are work[k*hop : k*hop + n - tau].
+    """
+    out = np.empty((m, len(lags)))
+    work = np.empty(len(seg))
+    frames = _frames_of(work, n, hop, m)
     for j, tau in enumerate(lags):
-        if tau >= n:
-            out[:, j] = 0.0
-        else:
-            out[:, j] = np.sum(np.abs(rows[:, : n - tau] - rows[:, tau:]), axis=1)
+        pair(seg[: len(seg) - tau], seg[tau:], out=work[: len(seg) - tau])
+        out[:, j] = frames[:, : n - tau].sum(axis=1)
     return out
 
 
@@ -169,15 +188,17 @@ def _select_acf(values: np.ndarray, energy: np.ndarray, threshold: float):
     return idx, voiced
 
 
-def _select_amdf(norm: np.ndarray, left: np.ndarray, right: np.ndarray, threshold: float):
+def _select_amdf(padded: np.ndarray, threshold: float):
     """First-pronounced-dip rule on the per-sample AMDF.
 
-    A lag qualifies when it is a local minimum against both neighbors and
-    at most AMDF_DIP_FRACTION of the range maximum; the first qualifying
-    lag wins, otherwise the global minimum of the range.
+    padded holds the search range plus one neighbor lag on each side
+    (inf where the lag has no overlapping samples). A lag qualifies when
+    it is a local minimum against both neighbors and at most
+    AMDF_DIP_FRACTION of the range maximum; the first qualifying lag
+    wins, otherwise the global minimum of the range.
     """
-    neighbors = np.concatenate([left[:, None], norm, right[:, None]], axis=1)
-    is_dip = (norm <= neighbors[:, :-2]) & (norm <= neighbors[:, 2:])
+    norm = padded[:, 1:-1]
+    is_dip = (norm <= padded[:, :-2]) & (norm <= padded[:, 2:])
     max_in_range = np.max(norm, axis=1)
     deep = norm <= AMDF_DIP_FRACTION * max_in_range[:, None]
     qualifying = is_dip & deep
@@ -205,59 +226,51 @@ def _select_cepstral(values: np.ndarray, threshold: float):
     return idx, voiced
 
 
-def _pitch_rows(rows: np.ndarray, sample_rate_hz: int, cfg: PitchConfig) -> np.ndarray:
+def _pitch_block(
+    seg: np.ndarray, n: int, hop: int, m: int, sample_rate_hz: int, cfg: PitchConfig
+) -> np.ndarray:
+    """Pitch of the m frames of n samples, hop apart, that seg holds."""
     lo, hi = lag_bounds(sample_rate_hz, cfg)
-    n = rows.shape[1]
     if n <= hi:
         raise PreconditionError(
             f"frame of {n} samples cannot cover the longest search lag {hi}"
         )
     if cfg.method == ACF:
-        lags = np.arange(lo, hi + 1)
-        values = _acf_rows(rows, lags)
-        energy = np.sum(rows * rows, axis=1)
-        idx, voiced = _select_acf(values, energy, cfg.voicing_threshold)
-        taus = lags[idx]
+        sums = _lag_sums(seg, n, hop, m, np.r_[0, lo : hi + 1], np.multiply)
+        idx, voiced = _select_acf(sums[:, 1:], sums[:, 0], cfg.voicing_threshold)
     elif cfg.method == AMDF:
-        lags = np.arange(lo, hi + 1)
-        norm = _amdf_rows(rows, lags) / (n - lags).astype(np.float64)
-
-        def neighbor(tau: int) -> np.ndarray:
-            if 0 <= tau <= n - 1:
-                return _amdf_rows(rows, np.array([tau]))[:, 0] / float(n - tau)
-            return np.full(rows.shape[0], np.inf)
-
-        idx, voiced = _select_amdf(
-            norm, neighbor(lo - 1), neighbor(hi + 1), cfg.voicing_threshold
-        )
-        taus = lags[idx]
+        lags = np.arange(lo - 1, min(hi + 1, n - 1) + 1)
+        padded = _lag_sums(seg, n, hop, m, lags, _abs_diff) / (n - lags).astype(np.float64)
+        if hi + 1 == n:  # the right neighbor lag overlaps no samples
+            padded = np.pad(padded, ((0, 0), (0, 1)), constant_values=np.inf)
+        idx, voiced = _select_amdf(padded, cfg.voicing_threshold)
     else:
-        nfft = next_pow2(n)
-        ceps = _cepstrum_rows(rows, nfft)
-        hi_q = min(hi, nfft - 1)
-        values = ceps[:, lo : hi_q + 1]
-        idx, voiced = _select_cepstral(values, cfg.voicing_threshold)
-        taus = lo + idx
-    return np.where(voiced, sample_rate_hz / taus, 0.0)
+        ceps = _cepstrum_rows(_frames_of(seg, n, hop, m), next_pow2(n))
+        idx, voiced = _select_cepstral(ceps[:, lo : hi + 1], cfg.voicing_threshold)
+    return np.where(voiced, sample_rate_hz / (lo + idx), 0.0)
 
 
 def pitch_frame(frame, sample_rate_hz: int, cfg: PitchConfig | None = None) -> float:
     """Estimate the fundamental of one frame in Hz; 0.0 when unvoiced."""
     cfg = cfg or PitchConfig()
     frame = _as_frame(frame)
-    return float(_pitch_rows(frame[None, :], sample_rate_hz, cfg)[0])
+    return float(_pitch_block(frame, len(frame), 1, 1, sample_rate_hz, cfg)[0])
 
 
 def pitch_track(buffer: AudioBuffer, cfg: PitchConfig | None = None) -> PitchTrack:
     """Run the configured detector over every frame of a recording."""
     cfg = cfg or PitchConfig()
     plan = plan_from_seconds(buffer, cfg.frame_len_s, cfg.hop_s)
-    rows, times = _frame_signal(
-        buffer.samples, buffer.sample_rate_hz, plan.window_len, plan.hop
-    )
+    n, hop = plan.window_len, plan.hop
+    rows, times = _frame_signal(buffer.samples, buffer.sample_rate_hz, n, hop)
     if len(rows) == 0:
         raise PreconditionError("audio shorter than one frame")
-    pitch = _pitch_rows(np.ascontiguousarray(rows), buffer.sample_rate_hz, cfg)
+    pitch = np.empty(len(rows))
+    block = max(1, _BLOCK_SAMPLES // hop)
+    for start in range(0, len(rows), block):
+        m = min(block, len(rows) - start)
+        seg = buffer.samples[start * hop : (start + m - 1) * hop + n]
+        pitch[start : start + m] = _pitch_block(seg, n, hop, m, buffer.sample_rate_hz, cfg)
     return PitchTrack(times=times, pitch_hz=pitch)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio_io import AudioBuffer
-from .bic import verify_change
+from .bic import DEFAULT_REG_EPSILON, verify_change
 from .errors import PreconditionError
 from .evaluation import ChangePointSet
 from .features import MfccConfig, mfcc
@@ -34,6 +34,7 @@ class PitchSegConfig:
     gamma_c: float = 1.0
     verify_window_s: float = 0.4
     lam: float = 1.0
+    reg_epsilon: float = DEFAULT_REG_EPSILON
     min_gap_s: float = 0.5
     pitch: PitchConfig = field(default_factory=PitchConfig)
     mfcc: MfccConfig = field(default_factory=MfccConfig)
@@ -47,6 +48,8 @@ class PitchSegConfig:
             raise ValueError("verify_window_s must be positive")
         if self.lam < 0:
             raise ValueError("lam must be >= 0")
+        if self.reg_epsilon <= 0:
+            raise ValueError("reg_epsilon must be positive")
         if self.min_gap_s < 0:
             raise ValueError("min_gap_s must be >= 0")
 
@@ -166,7 +169,9 @@ def segment(
     if verify and cand_times:
         features = mfcc(buffer, cfg.mfcc)
         for t in cand_times:
-            ok, _score = verify_change(features, t, cfg.verify_window_s, cfg.lam)
+            ok, _score = verify_change(
+                features, t, cfg.verify_window_s, cfg.lam, cfg.reg_epsilon
+            )
             if ok:
                 accepted.append(t)
             else:

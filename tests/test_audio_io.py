@@ -99,6 +99,11 @@ class TestAudioBuffer:
         with pytest.raises(ValueError):
             AudioBuffer(samples=np.array([0.0, 1.5]), sample_rate_hz=8000)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            AudioBuffer(samples=np.array([0.0, bad, 0.5]), sample_rate_hz=8000)
+
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             AudioBuffer(samples=np.zeros(4), sample_rate_hz=0)

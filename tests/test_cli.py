@@ -247,6 +247,23 @@ class TestConfigResolution:
         assert payload["lambda"] == 1.0
         assert payload["method"] == "pitch"
 
+    def test_reg_epsilon_reaches_pitch_verify(self, synth_files, tmp_path, monkeypatch):
+        import speakerseg.pitch_seg as pitch_seg
+
+        seen = []
+        verify = pitch_seg.verify_change
+
+        def recording_verify(features, t, window_s, lam, reg_epsilon):
+            seen.append(reg_epsilon)
+            return verify(features, t, window_s, lam, reg_epsilon)
+
+        monkeypatch.setattr(pitch_seg, "verify_change", recording_verify)
+        wav, _ = synth_files
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("method = pitch\nreg_epsilon = 0.0025\n")
+        assert main(["segment", str(wav), "--config", str(cfg)]) == EXIT_OK
+        assert seen and set(seen) == {0.0025}
+
     def test_invalid_config_value_is_format_error(self, synth_files, tmp_path):
         wav, _ = synth_files
         cfg = tmp_path / "run.cfg"

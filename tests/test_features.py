@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from speakerseg import features
 from speakerseg.errors import PreconditionError
 from speakerseg.features import (
     FeatureMatrix,
@@ -63,6 +64,18 @@ class TestValues:
         diff = np.abs(a.vectors - b.vectors)
         assert np.max(diff[:, 1:]) < 1e-6
         assert np.min(diff[:, 0]) > 1e-3
+
+    def test_prefix_rows_match_across_block_boundary(self):
+        block = features._BLOCK_ROWS
+        rng = np.random.default_rng(12)
+        n = 80 * (3 * block) + 120
+        samples = 0.3 * sine(210, 8000, n) + rng.normal(0, 0.05, n)
+        whole = mfcc(buffer_from(samples), MfccConfig()).vectors
+        assert len(whole) == 3 * block
+        for rows in (block - 3, block + 6, 2 * block + 500):
+            prefix = mfcc(buffer_from(samples[: 80 * rows + 120]), MfccConfig()).vectors
+            assert len(prefix) == rows
+            assert np.array_equal(prefix, whole[:rows])
 
     def test_no_nan_for_noise(self):
         rng = np.random.default_rng(2)

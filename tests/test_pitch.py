@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from speakerseg import pitch
 from speakerseg.errors import PreconditionError
 from speakerseg.pitch import (
     ACF,
@@ -65,6 +66,24 @@ class TestAcf:
     def test_empty_frame_rejected(self):
         with pytest.raises(PreconditionError):
             acf([])
+
+
+class TestLagSums:
+    """The block kernel against per-frame contiguous temporaries."""
+
+    @pytest.mark.parametrize("n, hop", [(240, 80), (134, 80), (400, 160), (50, 64)])
+    def test_rows_equal_per_frame_sums(self, n, hop):
+        m = 9
+        seg = np.random.default_rng(n + hop).normal(0, 0.3, (m - 1) * hop + n)
+        lags = np.arange(n)
+        got_acf = pitch._lag_sums(seg, n, hop, m, lags, np.multiply)
+        got_amdf = pitch._lag_sums(seg, n, hop, m, lags, pitch._abs_diff)
+        for k in range(m):
+            frame = seg[k * hop : k * hop + n].copy()
+            for tau in lags:
+                a, b = frame[: n - tau], frame[tau:]
+                assert got_acf[k, tau] == np.sum(a * b)
+                assert got_amdf[k, tau] == np.sum(np.abs(a - b))
 
 
 class TestAmdf:
@@ -198,6 +217,40 @@ class TestPitchTrack:
                 ]
             )
             assert np.array_equal(track.pitch_hz, per_frame)
+
+    # (fs, frame_len_s): the default geometry; a frame of 134 samples, not
+    # a multiple of the 80-sample hop, whose longest lag 133 leaves no
+    # right AMDF neighbor (hi + 1 == n); and a 16 kHz frame of 400
+    # samples against a 160-sample hop.
+    @pytest.mark.parametrize("fs, frame_len_s", [(8000, 0.030), (8000, 0.01675), (16000, 0.025)])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_blocks_match_per_frame_on_float_input(self, monkeypatch, fs, frame_len_s, method):
+        cfg = PitchConfig(method=method, frame_len_s=frame_len_s)
+        n, hop = round(frame_len_s * fs), round(cfg.hop_s * fs)
+        if frame_len_s == 0.01675:
+            assert lag_bounds(fs, cfg)[1] + 1 == n
+        rng = np.random.default_rng(fs + n)
+        tones = np.concatenate([harmonic_tone(130, fs, fs // 4), harmonic_tone(200, fs, fs // 4)])
+        samples = tones + rng.normal(0, 0.01, len(tones))
+        monkeypatch.setattr(pitch, "_BLOCK_SAMPLES", 7 * hop + 3)
+        track = pitch_track(buffer_from(samples, fs), cfg)
+        assert len(track) >= 3 * 7
+        per_frame = [
+            pitch_frame(samples[k * hop : k * hop + n], fs, cfg) for k in range(len(track))
+        ]
+        assert np.array_equal(track.pitch_hz, per_frame)
+        assert np.count_nonzero(track.pitch_hz) > 0
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_block_size_does_not_change_track(self, monkeypatch, method):
+        rng = np.random.default_rng(9)
+        n_samples = 3 * pitch._BLOCK_SAMPLES + 1234
+        samples = 0.5 * harmonic_tone(170, 8000, n_samples) + rng.normal(0, 0.05, n_samples)
+        buf = buffer_from(samples)
+        cfg = PitchConfig(method=method)
+        default = pitch_track(buf, cfg)
+        monkeypatch.setattr(pitch, "_BLOCK_SAMPLES", 1000)
+        assert np.array_equal(pitch_track(buf, cfg).pitch_hz, default.pitch_hz)
 
     def test_too_short_buffer(self):
         with pytest.raises(PreconditionError):
