@@ -1,6 +1,7 @@
 """WAV loading, sample normalization and frame slicing.
 
-Only uncompressed 16-bit PCM RIFF/WAVE files are read. Samples are scaled
+Only uncompressed 16-bit PCM RIFF/WAVE files are read, plain or as
+WAVE_FORMAT_EXTENSIBLE with the PCM subformat. Samples are scaled
 by 1/32768 so the amplitude domain is exactly [-1, 1); multi-channel audio
 is averaged down to mono. No resampling is performed anywhere: analysis
 parameters given in seconds are converted to samples at the file rate.
@@ -17,6 +18,10 @@ import numpy as np
 from .errors import PreconditionError, UnsupportedWavError, WavFormatError
 
 PCM_SCALE = 32768.0
+WAVE_FORMAT_PCM = 1
+WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+# KSDATAFORMAT_SUBTYPE_PCM as stored at offset 24 of an extensible fmt chunk.
+PCM_SUBFORMAT = bytes.fromhex("0100000000001000800000aa00389b71")
 
 
 @dataclass(frozen=True)
@@ -91,14 +96,16 @@ def load_wav(path) -> AudioBuffer:
         if cid == b"fmt " and fmt is None:
             if len(body) < 16:
                 raise WavFormatError(f"{path}: fmt chunk too short")
-            fmt = struct.unpack_from("<HHIIHH", body, 0)
+            fmt = body
         elif cid == b"data" and payload is None:
             payload = body
     if fmt is None or payload is None:
         raise WavFormatError(f"{path}: missing fmt or data chunk")
 
-    audio_format, n_channels, sample_rate, _, _, bits = fmt
-    if audio_format != 1:
+    audio_format, n_channels, sample_rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt, 0)
+    if audio_format == WAVE_FORMAT_EXTENSIBLE and fmt[24:40] == PCM_SUBFORMAT:
+        audio_format = WAVE_FORMAT_PCM
+    if audio_format != WAVE_FORMAT_PCM:
         raise UnsupportedWavError(f"{path}: only PCM supported, got format {audio_format}")
     if bits != 16:
         raise UnsupportedWavError(f"{path}: only 16-bit samples supported, got {bits}")

@@ -16,21 +16,28 @@ from speakerseg.audio_io import (
 from speakerseg.errors import UnsupportedWavError, WavFormatError
 
 
-def wav_bytes(ints, sample_rate=8000, channels=1, bits=16, audio_format=1):
+PCM_GUID = bytes.fromhex("0100000000001000800000aa00389b71")
+FLOAT_GUID = bytes.fromhex("0300000000001000800000aa00389b71")
+
+
+def wav_bytes(ints, sample_rate=8000, channels=1, bits=16, audio_format=1, subformat=None):
+    """A WAV file; with a subformat GUID, a 40-byte WAVE_FORMAT_EXTENSIBLE fmt chunk."""
     payload = b"".join(struct.pack("<h", v) for v in ints)
-    header = b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
-    header += b"fmt " + struct.pack(
-        "<IHHIIHH",
-        16,
-        audio_format,
+    fmt = struct.pack(
+        "<HHIIHH",
+        0xFFFE if subformat is not None else audio_format,
         channels,
         sample_rate,
         sample_rate * channels * bits // 8,
         channels * bits // 8,
         bits,
     )
-    header += b"data" + struct.pack("<I", len(payload))
-    return header + payload
+    if subformat is not None:
+        # cbSize, valid bits per sample, channel mask (front left/right), GUID.
+        fmt += struct.pack("<HHI", 22, bits, (1 << channels) - 1) + subformat
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    body += b"data" + struct.pack("<I", len(payload)) + payload
+    return b"RIFF" + struct.pack("<I", len(body)) + body
 
 
 class TestLoadWav:
@@ -68,6 +75,30 @@ class TestLoadWav:
     def test_non_pcm_rejected(self, tmp_path):
         path = tmp_path / "float.wav"
         path.write_bytes(wav_bytes([0, 0], audio_format=3))
+        with pytest.raises(UnsupportedWavError):
+            load_wav(path)
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_extensible_pcm_loads_like_plain_pcm(self, tmp_path, channels):
+        ints = [16384, -32768, 5, 0, -7, 32767]
+        plain, ext = tmp_path / "plain.wav", tmp_path / "ext.wav"
+        plain.write_bytes(wav_bytes(ints, channels=channels))
+        ext.write_bytes(wav_bytes(ints, channels=channels, subformat=PCM_GUID))
+        assert ext.read_bytes()[20:22] == b"\xfe\xff"
+        want, got = load_wav(plain), load_wav(ext)
+        assert len(got.samples) == len(ints) // channels
+        assert np.array_equal(got.samples, want.samples)
+        assert got.sample_rate_hz == want.sample_rate_hz
+
+    def test_extensible_float_rejected(self, tmp_path):
+        path = tmp_path / "ext_float.wav"
+        path.write_bytes(wav_bytes([0, 0], subformat=FLOAT_GUID))
+        with pytest.raises(UnsupportedWavError, match="65534"):
+            load_wav(path)
+
+    def test_extensible_without_subformat_rejected(self, tmp_path):
+        path = tmp_path / "ext_short.wav"
+        path.write_bytes(wav_bytes([0, 0], audio_format=0xFFFE))
         with pytest.raises(UnsupportedWavError):
             load_wav(path)
 

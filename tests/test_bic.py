@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from speakerseg.audio_io import load_wav
 from speakerseg.bic import (
     BicConfig,
     GaussianStats,
+    _best_split,
     delta_bic,
     detect_fixed,
     detect_growing,
@@ -16,6 +20,7 @@ from speakerseg.bic import (
 )
 from speakerseg.errors import PreconditionError
 from speakerseg.features import FeatureMatrix, mfcc
+from speakerseg.synth import SynthSpec, synth_to_files
 
 
 def scalar_delta_bic(rows, b, lam, eps=1e-6):
@@ -277,3 +282,91 @@ class TestConfig:
         g = fit_gaussian(np.array([[-1.0], [1.0]]))
         assert isinstance(g, GaussianStats)
         assert g.n == 2
+
+
+def synth_features(tmp_path, spec):
+    """MFCC rows of a synth recording after its 16-bit WAV round trip, as `synth` writes it."""
+    wav = tmp_path / "golden.wav"
+    synth_to_files(spec, wav, tmp_path / "golden.txt")
+    return mfcc(load_wav(wav))
+
+
+class TestGoldenScores:
+    """Every change point and score, bit for bit, as the one-fit-per-split code computed them.
+
+    The values were recorded on x86-64 with numpy 2.4 and its bundled
+    OpenBLAS; another BLAS or CPU may differ in the last bits.
+    """
+
+    def test_detect_growing(self, tmp_path):
+        spec = SynthSpec(n_speakers=6, duration_s=5.0, noise_level=0.01, seed=42)
+        points = detect_growing(synth_features(tmp_path, spec), BicConfig())
+        assert [(p.time_s, p.score.hex()) for p in points] == [
+            (4.99, "0x1.caaee825ec75ap+8"),
+            (9.99, "0x1.34f338cf58fcep+8"),
+            (14.99, "0x1.202b0e644b13dp+9"),
+            (19.990000000000002, "0x1.435ee0f37229dp+9"),
+            (25.0, "0x1.ce0b6d3a7a7e2p+8"),
+        ]
+
+    def test_detect_fixed(self, tmp_path):
+        spec = SynthSpec(n_speakers=6, duration_s=10.0, noise_level=0.02, seed=42)
+        points = detect_fixed(synth_features(tmp_path, spec), BicConfig())
+        assert [(p.time_s, float(p.score).hex()) for p in points] == [
+            (10.0, "0x1.5441ac303e296p+8"),
+            (20.0, "0x1.c87423ab1076cp+7"),
+            (30.0, "0x1.7feacf6f6753ap+8"),
+            (40.0, "0x1.f29c73d39682ap+8"),
+            (50.0, "0x1.917cb56becf56p+8"),
+        ]
+
+
+class TestBatchedKernel:
+    """The batched sweeps give exactly the scores of one delta_bic call per window."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.integers(1, 6),
+        window=st.integers(4, 60),
+        n_s=st.integers(1, 12),
+        extra=st.integers(0, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fixed_window_scores_equal_delta_bic(self, d, window, n_s, extra, seed):
+        rng = np.random.default_rng(seed)
+        n = window + extra
+        rows = rng.normal(0.0, 1.0, (n, d)) * rng.uniform(0.1, 10.0, d)
+        rows[n // 2 :] += rng.uniform(-2.0, 2.0, d)
+        features = FeatureMatrix(rows, np.arange(n) * 0.01)
+        cfg = BicConfig(n_s=n_s, fixed_window=window, lam=float(rng.uniform(0.0, 2.0)))
+        times, scores = fixed_window_scores(features, cfg)
+        starts = range(0, n - window + 1, n_s)
+        half = window // 2
+        assert times.tolist() == [features.times[s + half] for s in starts]
+        if half < d + 1 or window - half < d + 1:
+            assert np.all(scores == -math.inf)
+            return
+        want = [
+            delta_bic(rows[s : s + window], half, cfg.lam, cfg.reg_epsilon) for s in starts
+        ]
+        assert scores.tolist() == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.integers(1, 6),
+        n=st.integers(4, 120),
+        min_b=st.integers(0, 60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_best_split_is_first_max_of_delta_bic(self, d, n, min_b, seed):
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(0.0, 1.0, (n, d))
+        rows[n // 3 :] += rng.uniform(-2.0, 2.0, d)
+        b, score = _best_split(rows, 1.0, 1e-6, min_b)
+        splits = range(max(d + 1, min_b), n - d)
+        if not splits:
+            assert (b, score) == (None, -math.inf)
+            return
+        want = [delta_bic(rows, s, 1.0, 1e-6) for s in splits]
+        assert score == max(want)
+        assert b == splits[want.index(max(want))]

@@ -1,17 +1,20 @@
-"""Working memory of the front ends does not grow with recording length.
+"""Working memory of the front ends and of the fixed BIC sweep does not
+grow with recording length.
 
 Working memory is the tracemalloc peak of one call less the bytes of the
 result it returns, whose size is proportional to the length by design.
 The input buffer is allocated before tracing starts.
 """
 
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from speakerseg.audio_io import AudioBuffer
-from speakerseg.features import mfcc
+from speakerseg.bic import detect_fixed
+from speakerseg.features import FeatureMatrix, mfcc
 from speakerseg.pitch import pitch_track
 
 FS = 8000
@@ -42,3 +45,25 @@ def test_working_memory_bounded(fn, result_bytes):
     long = AudioBuffer(rng.uniform(-0.5, 0.5, 600 * FS), FS)
     growth = working_bytes(fn, long, result_bytes) - working_bytes(fn, short, result_bytes)
     assert growth < GROWTH_LIMIT_BYTES
+
+
+def speaker_features(seconds, hop_s=0.01, turn_s=5.0, d=13):
+    """MFCC-like rows whose mean changes every turn_s seconds."""
+    rng = np.random.default_rng(1)
+    n = int(round(seconds / hop_s))
+    turn = int(round(turn_s / hop_s))
+    means = rng.uniform(-8.0, 8.0, (n // turn + 1, d))
+    rows = rng.normal(0.0, 1.0, (n, d)) + np.repeat(means, turn, axis=0)[:n]
+    return FeatureMatrix(rows, np.arange(n) * hop_s)
+
+
+def test_fixed_sweep_working_memory_bounded():
+    def result_bytes(points):
+        return sys.getsizeof(points) + sum(
+            sys.getsizeof(p) + sys.getsizeof(p.__dict__) for p in points
+        )
+
+    short, long = speaker_features(60.0), speaker_features(600.0)
+    short_bytes = working_bytes(detect_fixed, short, result_bytes)
+    long_bytes = working_bytes(detect_fixed, long, result_bytes)
+    assert long_bytes - short_bytes < GROWTH_LIMIT_BYTES
