@@ -7,7 +7,7 @@ BIC verification of candidates). Includes evaluation metrics, a method
 benchmark harness, and a deterministic synthetic fixture generator.
 """
 
-from .audio_io import AudioBuffer, FramePlan, frames, load_wav, write_wav
+from .audio_io import AudioBuffer, load_wav, write_wav
 from .bic import (
     BicConfig,
     ChangePoint,
@@ -35,8 +35,11 @@ from .evaluation import (
 from .features import FeatureMatrix, MfccConfig, mfcc
 from .pitch import PitchConfig, PitchTrack, acf, amdf, cepstrum, pitch_frame, pitch_track
 from .pitch_seg import (
+    SEG_METHODS,
     PitchSegConfig,
+    RunConfig,
     SegmentationResult,
+    build_method,
     candidates,
     gamma_correct,
     pitch_diff,
@@ -54,13 +57,14 @@ __all__ = [
     "EvalReport",
     "FeatureMatrix",
     "FormatError",
-    "FramePlan",
     "GaussianStats",
     "MfccConfig",
     "PitchConfig",
     "PitchSegConfig",
     "PitchTrack",
     "PreconditionError",
+    "RunConfig",
+    "SEG_METHODS",
     "SegmentationResult",
     "SynthSpec",
     "UnsupportedWavError",
@@ -68,6 +72,7 @@ __all__ = [
     "acf",
     "amdf",
     "benchmark",
+    "build_method",
     "candidates",
     "cepstrum",
     "delta_bic",
@@ -78,7 +83,6 @@ __all__ = [
     "fd_rate",
     "fit_gaussian",
     "fr_rate",
-    "frames",
     "gamma_correct",
     "load_wav",
     "match_points",

@@ -22,6 +22,8 @@ WAVE_FORMAT_PCM = 1
 WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 # KSDATAFORMAT_SUBTYPE_PCM as stored at offset 24 of an extensible fmt chunk.
 PCM_SUBFORMAT = bytes.fromhex("0100000000001000800000aa00389b71")
+# data chunk size a streaming recorder leaves when it cannot know the length.
+STREAMED_SIZE = 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -47,31 +49,17 @@ class AudioBuffer:
         return len(self.samples) / self.sample_rate_hz
 
 
-@dataclass(frozen=True)
-class FramePlan:
-    """Sliding-window geometry in samples; frame k covers [k*hop, k*hop + window_len)."""
-
-    window_len: int
-    hop: int
-
-    def __post_init__(self):
-        if self.window_len < 1:
-            raise ValueError("window_len must be >= 1")
-        if self.hop < 1:
-            raise ValueError("hop must be >= 1")
-
-    def frame_count(self, n_samples: int) -> int:
-        if n_samples < self.window_len:
-            return 0
-        return (n_samples - self.window_len) // self.hop + 1
-
-
 def _read_chunks(data: bytes):
-    """Yield (chunk id, payload view) pairs of a RIFF body, honoring pad bytes."""
+    """Yield (chunk id, payload view) pairs of a RIFF body, honoring pad bytes.
+
+    A streamed data chunk runs to the end of the file.
+    """
     view = memoryview(data)
     pos = 12
     while pos + 8 <= len(data):
         cid, size = struct.unpack_from("<4sI", data, pos)
+        if cid == b"data" and size == STREAMED_SIZE:
+            size = len(data) - pos - 8
         payload = view[pos + 8 : pos + 8 + size]
         if len(payload) < size:
             raise WavFormatError(f"truncated chunk {cid!r}")
@@ -136,33 +124,28 @@ def write_wav(path, samples, sample_rate_hz: int) -> None:
     Path(path).write_bytes(header + payload)
 
 
-def frames(buffer: AudioBuffer, plan: FramePlan):
-    """Slice a buffer into complete analysis frames.
-
-    Returns (frames, times): an (n, window_len) read-only view of the
-    samples and the n frame start times in seconds. Input shorter than
-    one window yields zero frames; tail samples that do not fill a full
-    window are discarded.
-    """
-    return _frame_signal(buffer.samples, buffer.sample_rate_hz, plan.window_len, plan.hop)
-
-
 def _frame_signal(samples: np.ndarray, sample_rate_hz: int, window_len: int, hop: int):
-    n = FramePlan(window_len, hop).frame_count(len(samples))
-    if n == 0:
+    """Slice samples into complete analysis frames.
+
+    Returns (frames, times): an (n, window_len) read-only view, frame k
+    covering [k*hop, k*hop + window_len), and the n frame start times in
+    seconds. Input shorter than one window yields zero frames; tail
+    samples that do not fill a full window are discarded.
+    """
+    if len(samples) < window_len:
         return (
             np.empty((0, window_len), dtype=np.float64),
             np.empty(0, dtype=np.float64),
         )
-    windows = np.lib.stride_tricks.sliding_window_view(samples, window_len)[::hop][:n]
-    times = np.arange(n) * (hop / sample_rate_hz)
+    windows = np.lib.stride_tricks.sliding_window_view(samples, window_len)[::hop]
+    times = np.arange(len(windows)) * (hop / sample_rate_hz)
     return windows, times
 
 
-def plan_from_seconds(buffer: AudioBuffer, frame_len_s: float, hop_s: float) -> FramePlan:
-    """Convert second-domain framing to samples at the buffer's rate."""
+def plan_from_seconds(buffer: AudioBuffer, frame_len_s: float, hop_s: float) -> tuple[int, int]:
+    """Convert second-domain framing to (window_len, hop) in samples at the buffer's rate."""
     window_len = int(round(frame_len_s * buffer.sample_rate_hz))
     hop = int(round(hop_s * buffer.sample_rate_hz))
     if window_len < 1 or hop < 1:
         raise PreconditionError("frame and hop must span at least one sample")
-    return FramePlan(window_len=window_len, hop=hop)
+    return window_len, hop

@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Subcommands: pitch, segment, evaluate, bench, synth. Tunables resolve as
-defaults, then the --config file (flat "key = value" lines, # comments),
-then explicit flags; --dry-run prints the resolved configuration as JSON
+Subcommands: pitch, features, segment, evaluate, bench, synth. Tunables
+resolve as defaults, then the --config file (flat "key = value" lines,
+# comments), then explicit flags (--method, --tolerance, --seed, each only
+where it is read); --dry-run prints the resolved configuration as JSON
 and exits. Exit codes: 0 success, 1 usage, 2 missing/unreadable files,
 3 malformed input, 4 input unsuitable for the requested analysis.
 """
@@ -13,28 +14,15 @@ import argparse
 import dataclasses
 import json
 import sys
-import time
 from pathlib import Path
 
-import numpy as np
-
-from .audio_io import AudioBuffer, load_wav
-from .bic import BicConfig, detect_fixed, detect_growing
+from .audio_io import load_wav
 from .errors import FormatError, PreconditionError
-from .evaluation import (
-    ChangePointSet,
-    benchmark,
-    evaluate,
-    read_change_points,
-    write_change_points,
-)
-from .features import MfccConfig, mfcc, write_features_tsv
-from .pitch import METHODS as PITCH_METHODS
-from .pitch import PitchConfig, pitch_track, write_track_tsv
-from .pitch_seg import PitchSegConfig, SegmentationResult, segment, segments_between
+from .evaluation import benchmark, evaluate, read_change_points, write_change_points
+from .features import mfcc, write_features_tsv
+from .pitch import pitch_track, write_track_tsv
+from .pitch_seg import SEG_METHODS, RunConfig, build_method
 from .synth import SynthSpec, synth_to_files
-
-SEG_METHODS = ("pitch", "bic-grow", "bic-fixed")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -42,96 +30,56 @@ EXIT_IO = 2
 EXIT_FORMAT = 3
 EXIT_PRECONDITION = 4
 
-
-@dataclasses.dataclass
-class RunConfig:
-    """Flat bag of every tunable; materialized into module configs on use."""
-
-    method: str = "pitch"
-    tolerance_s: float = 0.5
-    seed: int = 0
-    pitch_method: str = "amdf"
-    min_hz: float = 60.0
-    max_hz: float = 400.0
-    pitch_frame_s: float = 0.030
-    pitch_hop_s: float = 0.010
-    voicing_threshold: float = 0.3
-    mfcc_window: int = 200
-    mfcc_overlap: int = 120
-    n_coeffs: int = 13
-    n_mel_filters: int = 26
-    include_c0: bool = True
-    lam: float = 1.0
-    reg_epsilon: float = 1e-6
-    n_ini: int = 100
-    n_g: int = 50
-    n_max: int = 600
-    n_s: int = 50
-    fixed_window: int | None = None
-    threshold_coef: float = 0.7
-    gamma: float = 0.3
-    gamma_c: float = 1.0
-    verify_window_s: float = 0.4
-    min_gap_s: float = 0.5
-
-    def pitch_config(self) -> PitchConfig:
-        return PitchConfig(
-            method=self.pitch_method,
-            min_hz=self.min_hz,
-            max_hz=self.max_hz,
-            frame_len_s=self.pitch_frame_s,
-            hop_s=self.pitch_hop_s,
-            voicing_threshold=self.voicing_threshold,
-        )
-
-    def mfcc_config(self) -> MfccConfig:
-        return MfccConfig(
-            window_len=self.mfcc_window,
-            overlap=self.mfcc_overlap,
-            n_coeffs=self.n_coeffs,
-            n_mel_filters=self.n_mel_filters,
-            include_c0=self.include_c0,
-        )
-
-    def bic_config(self) -> BicConfig:
-        return BicConfig(
-            lam=self.lam,
-            reg_epsilon=self.reg_epsilon,
-            n_ini=self.n_ini,
-            n_g=self.n_g,
-            n_max=self.n_max,
-            n_s=self.n_s,
-            fixed_window=self.fixed_window,
-        )
-
-    def seg_config(self) -> PitchSegConfig:
-        return PitchSegConfig(
-            threshold_coef=self.threshold_coef,
-            gamma=self.gamma,
-            gamma_c=self.gamma_c,
-            verify_window_s=self.verify_window_s,
-            lam=self.lam,
-            reg_epsilon=self.reg_epsilon,
-            min_gap_s=self.min_gap_s,
-            pitch=self.pitch_config(),
-            mfcc=self.mfcc_config(),
-        )
-
-    def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["lambda"] = out.pop("lam")
-        return out
-
-
-# config-file key -> RunConfig field (identity unless renamed)
+# A config key is the name of the RunConfig leaf it sets, except for these
+# leaves, whose names alone would clash or not say which stage they tune.
+_RENAMED = {
+    ("seg", "pitch", "method"): "pitch_method",
+    ("seg", "pitch", "frame_len_s"): "pitch_frame_s",
+    ("seg", "pitch", "hop_s"): "pitch_hop_s",
+    ("seg", "mfcc", "window_len"): "mfcc_window",
+    ("seg", "mfcc", "overlap"): "mfcc_overlap",
+}
+# config-file spelling -> key
 _KEY_ALIASES = {"lambda": "lam"}
-_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
+
+
+def _leaves(node, path=()):
+    """(key, field, value) of every leaf of a config tree, depth first."""
+    for f in dataclasses.fields(node):
+        value = getattr(node, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _leaves(value, path + (f.name,))
+        else:
+            yield _RENAMED.get(path + (f.name,), f.name), f, value
+
+
+_FIELDS = {key: f for key, f, _ in _leaves(RunConfig())}
+
+
+def _with_values(node, values: dict, path=()):
+    """Copy of a config tree with the leaves named by values' keys set.
+
+    Built bottom-up, so each dataclass validates its own fields.
+    """
+    changes = {}
+    for f in dataclasses.fields(node):
+        value = getattr(node, f.name)
+        key = _RENAMED.get(path + (f.name,), f.name)
+        if dataclasses.is_dataclass(value):
+            changes[f.name] = _with_values(value, values, path + (f.name,))
+        elif key in values:
+            changes[f.name] = values[key]
+    return dataclasses.replace(node, **changes)
+
+
+def _to_flat(cfg: RunConfig) -> dict:
+    """The tree as flat config keys, `lam` spelled `lambda`, as --dry-run prints it."""
+    spelling = {key: alias for alias, key in _KEY_ALIASES.items()}
+    return {spelling.get(key, key): value for key, _, value in _leaves(cfg)}
 
 
 def _coerce(field: dataclasses.Field, raw: str, key: str):
     raw = raw.strip()
-    if field.name == "fixed_window":
-        return None if raw.lower() in ("none", "auto", "") else int(raw)
     if field.type in ("bool",):
         if raw.lower() in ("1", "true", "yes", "on"):
             return True
@@ -139,6 +87,8 @@ def _coerce(field: dataclasses.Field, raw: str, key: str):
             return False
         raise FormatError(f"config key {key}: not a boolean: {raw!r}")
     try:
+        if field.name == "fixed_window":
+            return None if raw.lower() in ("none", "auto", "") else int(raw)
         if field.type in ("int",):
             return int(raw)
         if field.type in ("float",):
@@ -175,45 +125,9 @@ def resolve_config(args) -> RunConfig:
         if getattr(args, flag, None) is not None:
             values[name] = getattr(args, flag)
     try:
-        cfg = RunConfig(**values)
-        cfg.pitch_config()
-        cfg.mfcc_config()
-        cfg.bic_config()
-        cfg.seg_config()
+        return _with_values(RunConfig(), values)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
-    if cfg.method not in SEG_METHODS:
-        raise FormatError(f"unknown segmentation method {cfg.method!r}")
-    if cfg.pitch_method not in PITCH_METHODS:
-        raise FormatError(f"unknown pitch method {cfg.pitch_method!r}")
-    return cfg
-
-
-def build_method(name: str, cfg: RunConfig):
-    """Segmenter callable (AudioBuffer -> SegmentationResult) for a method name."""
-    if name == "pitch":
-        seg_cfg = cfg.seg_config()
-        return lambda buffer: segment(buffer, seg_cfg)
-    if name in ("bic-grow", "bic-fixed"):
-        detect = detect_growing if name == "bic-grow" else detect_fixed
-        mfcc_cfg = cfg.mfcc_config()
-        bic_cfg = cfg.bic_config()
-
-        def run(buffer: AudioBuffer) -> SegmentationResult:
-            start = time.perf_counter()
-            points = detect(mfcc(buffer, mfcc_cfg), bic_cfg)
-            wall = time.perf_counter() - start
-            cps = ChangePointSet(np.array([p.time_s for p in points]))
-            return SegmentationResult(
-                change_points=cps,
-                segments=segments_between(cps, buffer.duration_s),
-                candidates_examined=len(points),
-                candidates_rejected=0,
-                wall_time_s=wall,
-            )
-
-        return run
-    raise FormatError(f"unknown segmentation method {name!r}")
 
 
 def _open_out(path):
@@ -233,7 +147,7 @@ def _write_text(path, text: str) -> None:
 
 def _maybe_dry_run(args, cfg: RunConfig) -> bool:
     if getattr(args, "dry_run", False):
-        print(json.dumps(cfg.to_dict(), indent=2, sort_keys=True))
+        print(json.dumps(_to_flat(cfg), indent=2, sort_keys=True))
         return True
     return False
 
@@ -243,7 +157,7 @@ def cmd_pitch(args) -> int:
     if _maybe_dry_run(args, cfg):
         return EXIT_OK
     buffer = load_wav(args.audio)
-    track = pitch_track(buffer, cfg.pitch_config())
+    track = pitch_track(buffer, cfg.seg.pitch)
     fp, close = _open_out(args.out)
     try:
         write_track_tsv(track, fp)
@@ -258,7 +172,7 @@ def cmd_features(args) -> int:
     if _maybe_dry_run(args, cfg):
         return EXIT_OK
     buffer = load_wav(args.audio)
-    features = mfcc(buffer, cfg.mfcc_config())
+    features = mfcc(buffer, cfg.seg.mfcc)
     fp, close = _open_out(args.out)
     try:
         write_features_tsv(features, fp)
@@ -321,9 +235,6 @@ def cmd_bench(args) -> int:
     names = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not names:
         raise FormatError("no methods given")
-    for name in names:
-        if name not in SEG_METHODS:
-            raise FormatError(f"unknown segmentation method {name!r}")
     methods = [(name, build_method(name, cfg)) for name in names]
     result = benchmark(buffer, reference, methods, cfg.tolerance_s)
     _write_text(args.out, result.to_csv())
@@ -388,8 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--dry-run", action="store_true", help="print resolved config and exit")
-        p.add_argument("--seed", type=int, help="seed for synthetic generation")
-        p.add_argument("--tolerance", type=float, help="match tolerance in seconds")
 
     p = sub.add_parser("pitch", parents=[], help="pitch track as TSV")
     p.add_argument("audio")
@@ -415,6 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("reference")
     p.add_argument("hypothesis")
     p.add_argument("--json", help="write the report as JSON ('-' for stdout)")
+    p.add_argument("--tolerance", type=float, help="match tolerance in seconds")
     common(p)
     p.set_defaults(func=cmd_evaluate)
 
@@ -423,6 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("reference")
     p.add_argument("--methods", default="pitch,bic-grow", help="comma-separated method names")
     p.add_argument("--out", help="CSV path (default stdout)")
+    p.add_argument("--tolerance", type=float, help="match tolerance in seconds")
     common(p)
     p.set_defaults(func=cmd_bench)
 
@@ -434,6 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f0", help="comma-separated fundamentals in Hz")
     p.add_argument("--noise", type=float, default=0.01)
     p.add_argument("--rate", type=int, default=8000)
+    p.add_argument("--seed", type=int, help="seed for synthetic generation")
     common(p)
     p.set_defaults(func=cmd_synth)
 

@@ -260,8 +260,7 @@ def pitch_frame(frame, sample_rate_hz: int, cfg: PitchConfig | None = None) -> f
 def pitch_track(buffer: AudioBuffer, cfg: PitchConfig | None = None) -> PitchTrack:
     """Run the configured detector over every frame of a recording."""
     cfg = cfg or PitchConfig()
-    plan = plan_from_seconds(buffer, cfg.frame_len_s, cfg.hop_s)
-    n, hop = plan.window_len, plan.hop
+    n, hop = plan_from_seconds(buffer, cfg.frame_len_s, cfg.hop_s)
     rows, times = _frame_signal(buffer.samples, buffer.sample_rate_hz, n, hop)
     if len(rows) == 0:
         raise PreconditionError("audio shorter than one frame")

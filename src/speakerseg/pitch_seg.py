@@ -10,6 +10,10 @@ then removes.
 
 Differences touching an unvoiced frame are zeroed: a silence boundary is
 not evidence of a speaker change.
+
+`build_method` turns a method name and the `RunConfig` tree into a
+segmenter callable, for this pipeline and for the two BIC sweeps alike;
+all three read the same MFCC and BIC settings from `cfg.seg`.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio_io import AudioBuffer
-from .bic import DEFAULT_REG_EPSILON, verify_change
-from .errors import PreconditionError
+from .bic import BicConfig, detect_fixed, detect_growing, verify_change
+from .errors import FormatError, PreconditionError
 from .evaluation import ChangePointSet
 from .features import MfccConfig, mfcc
 from .pitch import PitchConfig, PitchTrack, pitch_track
@@ -33,11 +37,10 @@ class PitchSegConfig:
     gamma: float = 0.3
     gamma_c: float = 1.0
     verify_window_s: float = 0.4
-    lam: float = 1.0
-    reg_epsilon: float = DEFAULT_REG_EPSILON
     min_gap_s: float = 0.5
     pitch: PitchConfig = field(default_factory=PitchConfig)
     mfcc: MfccConfig = field(default_factory=MfccConfig)
+    bic: BicConfig = field(default_factory=BicConfig)  # the verify score's lam and reg_epsilon
 
     def __post_init__(self):
         if not 0.0 < self.threshold_coef <= 1.0:
@@ -46,10 +49,6 @@ class PitchSegConfig:
             raise ValueError("gamma and gamma_c must be positive")
         if self.verify_window_s <= 0:
             raise ValueError("verify_window_s must be positive")
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
-        if self.reg_epsilon <= 0:
-            raise ValueError("reg_epsilon must be positive")
         if self.min_gap_s < 0:
             raise ValueError("min_gap_s must be >= 0")
 
@@ -170,7 +169,7 @@ def segment(
         features = mfcc(buffer, cfg.mfcc)
         for t in cand_times:
             ok, _score = verify_change(
-                features, t, cfg.verify_window_s, cfg.lam, cfg.reg_epsilon
+                features, t, cfg.verify_window_s, cfg.bic.lam, cfg.bic.reg_epsilon
             )
             if ok:
                 accepted.append(t)
@@ -193,3 +192,48 @@ def segment(
 def segments_between(points: ChangePointSet, duration_s: float) -> list[tuple[float, float]]:
     bounds = [0.0, *[float(t) for t in points.times], duration_s]
     return [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
+
+
+SEG_METHODS = ("pitch", "bic-grow", "bic-fixed")
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Root of the config tree: the method, the evaluation settings and every tunable."""
+
+    method: str = "pitch"
+    tolerance_s: float = 0.5
+    seed: int = 0
+    seg: PitchSegConfig = field(default_factory=PitchSegConfig)
+
+    def __post_init__(self):
+        if self.method not in SEG_METHODS:
+            raise ValueError(f"unknown segmentation method {self.method!r}")
+
+
+def build_method(name: str, cfg: RunConfig):
+    """Segmenter callable (AudioBuffer -> SegmentationResult) for a method name.
+
+    The detectors are this module's globals, read when the segmenter is
+    built or run, so a wrapper installed on them afterwards is called.
+    """
+    if name == "pitch":
+        return lambda buffer: segment(buffer, cfg.seg)
+    if name in ("bic-grow", "bic-fixed"):
+        detect = detect_growing if name == "bic-grow" else detect_fixed
+
+        def run(buffer: AudioBuffer) -> SegmentationResult:
+            start = time.perf_counter()
+            points = detect(mfcc(buffer, cfg.seg.mfcc), cfg.seg.bic)
+            wall = time.perf_counter() - start
+            cps = ChangePointSet(np.array([p.time_s for p in points]))
+            return SegmentationResult(
+                change_points=cps,
+                segments=segments_between(cps, buffer.duration_s),
+                candidates_examined=len(points),
+                candidates_rejected=0,
+                wall_time_s=wall,
+            )
+
+        return run
+    raise FormatError(f"unknown segmentation method {name!r}")

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from speakerseg.audio_io import (
     AudioBuffer,
-    FramePlan,
-    frames,
+    _frame_signal,
     load_wav,
     plan_from_seconds,
     write_wav,
@@ -71,6 +70,21 @@ class TestLoadWav:
         path.write_bytes(data[:-3])
         with pytest.raises(WavFormatError):
             load_wav(path)
+
+    def test_streamed_data_size_reads_to_end_of_file(self, tmp_path):
+        # A streaming recorder leaves both sizes at 0xFFFFFFFF; the odd
+        # trailing byte is half a sample and is dropped.
+        ints = [16384, -16384, 8192, 0, -32768]
+        whole = wav_bytes(ints)
+        data_at = whole.index(b"data")
+        streamed = (
+            b"RIFF" + struct.pack("<I", 0xFFFFFFFF) + whole[8:data_at]
+            + b"data" + struct.pack("<I", 0xFFFFFFFF) + whole[data_at + 8 :] + b"\x7f"
+        )
+        path = tmp_path / "streamed.wav"
+        path.write_bytes(streamed)
+        assert len(streamed) % 2 == 1
+        assert load_wav(path).samples.tolist() == [v / 32768 for v in ints]
 
     def test_non_pcm_rejected(self, tmp_path):
         path = tmp_path / "float.wav"
@@ -146,28 +160,25 @@ class TestAudioBuffer:
 
 class TestFrames:
     def test_frame_count_examples(self):
-        assert FramePlan(200, 80).frame_count(1000) == 11
-        assert FramePlan(200, 80).frame_count(100) == 0
-        assert FramePlan(200, 80).frame_count(200) == 1
+        assert len(_frame_signal(np.zeros(1000), 8000, 200, 80)[0]) == 11
+        assert len(_frame_signal(np.zeros(100), 8000, 200, 80)[0]) == 0
+        assert len(_frame_signal(np.zeros(200), 8000, 200, 80)[0]) == 1
 
     def test_exact_fit_starts_at_zero(self):
-        buf = AudioBuffer(samples=np.arange(200) / 1000.0, sample_rate_hz=8000)
-        rows, times = frames(buf, FramePlan(200, 80))
+        rows, times = _frame_signal(np.arange(200) / 1000.0, 8000, 200, 80)
         assert rows.shape == (1, 200)
         assert times[0] == 0.0
 
     def test_frame_contents_match_slices(self):
         rng = np.random.default_rng(1)
         samples = rng.uniform(-1, 1, 1000)
-        buf = AudioBuffer(samples=samples, sample_rate_hz=8000)
-        rows, times = frames(buf, FramePlan(200, 80))
+        rows, times = _frame_signal(samples, 8000, 200, 80)
         assert rows.shape == (11, 200)
         for k in range(11):
             assert np.array_equal(rows[k], samples[k * 80 : k * 80 + 200])
 
     def test_frame_times(self):
-        buf = AudioBuffer(samples=np.zeros(1000), sample_rate_hz=8000)
-        _, times = frames(buf, FramePlan(200, 80))
+        _, times = _frame_signal(np.zeros(1000), 8000, 200, 80)
         steps = np.diff(times)
         assert np.allclose(steps, 80 / 8000)
         assert np.all(steps > 0)
@@ -179,19 +190,17 @@ class TestFrames:
     )
     @settings(max_examples=60, deadline=None)
     def test_frame_count_formula(self, n, window, hop):
-        buf = AudioBuffer(samples=np.zeros(n), sample_rate_hz=8000)
-        rows, _ = frames(buf, FramePlan(window, hop))
+        rows, _ = _frame_signal(np.zeros(n), 8000, window, hop)
         expected = 0 if n < window else (n - window) // hop + 1
         assert len(rows) == expected
 
     def test_plan_validation(self):
+        buf = AudioBuffer(samples=np.zeros(8000), sample_rate_hz=8000)
         with pytest.raises(ValueError):
-            FramePlan(0, 1)
+            plan_from_seconds(buf, 0 / 8000, 1 / 8000)
         with pytest.raises(ValueError):
-            FramePlan(10, 0)
+            plan_from_seconds(buf, 10 / 8000, 0 / 8000)
 
     def test_plan_from_seconds(self):
         buf = AudioBuffer(samples=np.zeros(8000), sample_rate_hz=8000)
-        plan = plan_from_seconds(buf, 0.030, 0.010)
-        assert plan.window_len == 240
-        assert plan.hop == 80
+        assert plan_from_seconds(buf, 0.030, 0.010) == (240, 80)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -62,6 +63,10 @@ class TestExitCodes:
         code = main(["pitch", str(wav)])
         assert code == EXIT_PRECONDITION
         assert "shorter than one frame" in capsys.readouterr().err
+
+    def test_seed_on_segment_is_usage_error(self, synth_files):
+        wav, _ = synth_files
+        assert main(["segment", str(wav), "--seed", "1"]) == EXIT_USAGE
 
     def test_malformed_ref_is_format_error(self, synth_files, tmp_path):
         wav, _ = synth_files
@@ -282,3 +287,79 @@ class TestBuildMethod:
             result = build_method(name, cfg)(buffer)
             assert result.wall_time_s > 0
             assert len(result.change_points) >= 1
+
+
+def config_leaves(node, path=()):
+    """(path, value) of every leaf of a config tree, depth first."""
+    for field in dataclasses.fields(node):
+        value = getattr(node, field.name)
+        if dataclasses.is_dataclass(value):
+            yield from config_leaves(value, path + (field.name,))
+        else:
+            yield path + (field.name,), value
+
+
+# Every config-file key with a valid non-default value, the leaf of the
+# RunConfig tree it must set, and the value the leaf must then hold.
+KEY_CASES = [
+    ("method", "bic-grow", ("method",), "bic-grow"),
+    ("tolerance_s", "0.25", ("tolerance_s",), 0.25),
+    ("seed", "7", ("seed",), 7),
+    ("pitch_method", "acf", ("seg", "pitch", "method"), "acf"),
+    ("min_hz", "70", ("seg", "pitch", "min_hz"), 70.0),
+    ("max_hz", "350.5", ("seg", "pitch", "max_hz"), 350.5),
+    ("pitch_frame_s", "0.04", ("seg", "pitch", "frame_len_s"), 0.04),
+    ("pitch_hop_s", "0.012", ("seg", "pitch", "hop_s"), 0.012),
+    ("voicing_threshold", "0.4", ("seg", "pitch", "voicing_threshold"), 0.4),
+    ("mfcc_window", "256", ("seg", "mfcc", "window_len"), 256),
+    ("mfcc_overlap", "100", ("seg", "mfcc", "overlap"), 100),
+    ("n_coeffs", "12", ("seg", "mfcc", "n_coeffs"), 12),
+    ("n_mel_filters", "24", ("seg", "mfcc", "n_mel_filters"), 24),
+    ("include_c0", "false", ("seg", "mfcc", "include_c0"), False),
+    ("lambda", "1.3", ("seg", "bic", "lam"), 1.3),
+    ("lam", "1.3", ("seg", "bic", "lam"), 1.3),
+    ("reg_epsilon", "1e-5", ("seg", "bic", "reg_epsilon"), 1e-5),
+    ("n_ini", "80", ("seg", "bic", "n_ini"), 80),
+    ("n_g", "40", ("seg", "bic", "n_g"), 40),
+    ("n_max", "500", ("seg", "bic", "n_max"), 500),
+    ("n_s", "25", ("seg", "bic", "n_s"), 25),
+    ("fixed_window", "150", ("seg", "bic", "fixed_window"), 150),
+    ("threshold_coef", "0.6", ("seg", "threshold_coef"), 0.6),
+    ("gamma", "0.4", ("seg", "gamma"), 0.4),
+    ("gamma_c", "1.5", ("seg", "gamma_c"), 1.5),
+    ("verify_window_s", "0.5", ("seg", "verify_window_s"), 0.5),
+    ("min_gap_s", "0.6", ("seg", "min_gap_s"), 0.6),
+]
+
+
+class TestConfigKeys:
+    def test_every_leaf_has_one_key(self):
+        paths = [path for path, _ in config_leaves(RunConfig())]
+        keys = {key for key, *_ in KEY_CASES if key != "lam"}
+        assert len(paths) == len(keys) == 26
+        assert sorted(paths) == sorted({path for _, _, path, _ in KEY_CASES})
+
+    def test_bad_fixed_window_is_format_error(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("fixed_window = abc\n")
+        assert main(["segment", "unread.wav", "--config", str(cfg), "--dry-run"]) == EXIT_FORMAT
+
+    @pytest.mark.parametrize(
+        "key, raw, path, value", KEY_CASES, ids=[case[0] for case in KEY_CASES]
+    )
+    def test_key_sets_only_its_leaf(self, key, raw, path, value, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {raw}\n")
+
+        class Args:
+            config = str(cfg)
+
+        default = dict(config_leaves(RunConfig()))
+        resolved = dict(config_leaves(resolve_config(Args())))
+        changed = {p for p in default if resolved[p] != default[p]}
+        assert changed == {path}
+        assert resolved[path] == value
+
+        assert main(["segment", "unread.wav", "--config", str(cfg), "--dry-run"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["lambda" if key == "lam" else key] == value
