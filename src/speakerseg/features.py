@@ -19,12 +19,16 @@ from .pitch import next_pow2
 
 LOG_FLOOR = 1e-10
 
-# Rows per block of mfcc. Every block but a short recording's only one
-# holds at least this many rows: BLAS may switch to another kernel, with
-# another summation order, for a small matrix product, and the mel
-# energies must not depend on where a block starts. Larger blocks are no
-# faster and hold more memory.
+# Rows per block of mfcc. Larger blocks are no faster and hold more
+# memory.
 _BLOCK_ROWS = 512
+
+# OpenBLAS computes a matrix product of 46 rows or fewer with another
+# kernel, whose last bits differ, so the mel product of a shorter block (a
+# short recording, or the last block of a long one) is zero-padded to this
+# many rows. A row's energies then do not depend on the length of the
+# recording or on where a block starts.
+_MIN_PRODUCT_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -100,6 +104,16 @@ def mel_filterbank(n_filters: int, nfft: int, sample_rate_hz: int) -> np.ndarray
     return bank
 
 
+def _mel_product(magnitude: np.ndarray, bank_t: np.ndarray) -> np.ndarray:
+    """magnitude @ bank_t, with at least _MIN_PRODUCT_ROWS rows in the product."""
+    k = len(magnitude)
+    if k >= _MIN_PRODUCT_ROWS:
+        return magnitude @ bank_t
+    padded = np.zeros((_MIN_PRODUCT_ROWS, magnitude.shape[1]))
+    padded[:k] = magnitude
+    return (padded @ bank_t)[:k]
+
+
 def mfcc(buffer: AudioBuffer, cfg: MfccConfig | None = None) -> FeatureMatrix:
     """Extract one coefficient row per complete analysis window."""
     cfg = cfg or MfccConfig()
@@ -113,14 +127,12 @@ def mfcc(buffer: AudioBuffer, cfg: MfccConfig | None = None) -> FeatureMatrix:
     bank_t = mel_filterbank(cfg.n_mel_filters, nfft, buffer.sample_rate_hz).T
     first = 0 if cfg.include_c0 else 1
     vectors = np.empty((len(rows), cfg.n_coeffs))
-    # The last block also takes the remainder, so it is never short.
-    n_blocks = max(1, len(rows) // _BLOCK_ROWS)
-    bounds = [k * _BLOCK_ROWS for k in range(n_blocks)] + [len(rows)]
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        magnitude = np.abs(np.fft.rfft(rows[start:stop] * window, nfft, axis=1))
-        log_energies = np.log(magnitude @ bank_t + LOG_FLOOR)
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        magnitude = np.abs(np.fft.rfft(rows[block] * window, nfft, axis=1))
+        log_energies = np.log(_mel_product(magnitude, bank_t) + LOG_FLOOR)
         coeffs = dct(log_energies, type=2, norm="ortho", axis=1)
-        vectors[start:stop] = coeffs[:, first : first + cfg.n_coeffs]
+        vectors[block] = coeffs[:, first : first + cfg.n_coeffs]
     return FeatureMatrix(vectors=vectors, times=times)
 
 

@@ -17,8 +17,14 @@ buffer. A frame thus adds the same values in the same order as a
 per-frame temporary would, so the track is bit-identical to calling
 pitch_frame per frame, on any float input and for any block size. The
 cepstrum transforms each frame of a block separately. Working memory is
-a few block-sized buffers and does not grow with the length of the
-recording; only the output does.
+a few block-sized buffers per block in flight and does not grow with the
+length of the recording; only the output does.
+
+The blocks are independent and each writes its own slice of the output,
+so they run on a pool of min(CPUs available to the process, blocks)
+threads; numpy releases the GIL inside the pair and sum loops. The pool
+lives for one call (a pool made before a fork would hang in the child).
+The track is bit-identical for any number of threads.
 
 AMDF selection and voicing operate on the per-overlap-sample mean of the
 raw difference sum: the raw sum shrinks with lag simply because fewer
@@ -28,6 +34,8 @@ let white noise pass the voicing gate.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,15 +234,24 @@ def _select_cepstral(values: np.ndarray, threshold: float):
     return idx, voiced
 
 
-def _pitch_block(
-    seg: np.ndarray, n: int, hop: int, m: int, sample_rate_hz: int, cfg: PitchConfig
-) -> np.ndarray:
-    """Pitch of the m frames of n samples, hop apart, that seg holds."""
+def _frame_lags(n: int, sample_rate_hz: int, cfg: PitchConfig) -> tuple[int, int]:
+    """lag_bounds, checked against a frame of n samples."""
     lo, hi = lag_bounds(sample_rate_hz, cfg)
     if n <= hi:
         raise PreconditionError(
             f"frame of {n} samples cannot cover the longest search lag {hi}"
         )
+    return lo, hi
+
+
+def _pitch_block(
+    seg: np.ndarray, n: int, hop: int, m: int, sample_rate_hz: int, cfg: PitchConfig,
+    lo: int, hi: int,
+) -> np.ndarray:
+    """Pitch of the m frames of n samples, hop apart, that seg holds.
+
+    [lo, hi] is the lag range, checked against n by _frame_lags.
+    """
     if cfg.method == ACF:
         sums = _lag_sums(seg, n, hop, m, np.r_[0, lo : hi + 1], np.multiply)
         idx, voiced = _select_acf(sums[:, 1:], sums[:, 0], cfg.voicing_threshold)
@@ -254,7 +271,15 @@ def pitch_frame(frame, sample_rate_hz: int, cfg: PitchConfig | None = None) -> f
     """Estimate the fundamental of one frame in Hz; 0.0 when unvoiced."""
     cfg = cfg or PitchConfig()
     frame = _as_frame(frame)
-    return float(_pitch_block(frame, len(frame), 1, 1, sample_rate_hz, cfg)[0])
+    lo, hi = _frame_lags(len(frame), sample_rate_hz, cfg)
+    return float(_pitch_block(frame, len(frame), 1, 1, sample_rate_hz, cfg, lo, hi)[0])
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def pitch_track(buffer: AudioBuffer, cfg: PitchConfig | None = None) -> PitchTrack:
@@ -264,12 +289,25 @@ def pitch_track(buffer: AudioBuffer, cfg: PitchConfig | None = None) -> PitchTra
     rows, times = _frame_signal(buffer.samples, buffer.sample_rate_hz, n, hop)
     if len(rows) == 0:
         raise PreconditionError("audio shorter than one frame")
+    lo, hi = _frame_lags(n, buffer.sample_rate_hz, cfg)
     pitch = np.empty(len(rows))
     block = max(1, _BLOCK_SAMPLES // hop)
-    for start in range(0, len(rows), block):
+    starts = range(0, len(rows), block)
+
+    def run(start: int) -> None:
         m = min(block, len(rows) - start)
         seg = buffer.samples[start * hop : (start + m - 1) * hop + n]
-        pitch[start : start + m] = _pitch_block(seg, n, hop, m, buffer.sample_rate_hz, cfg)
+        pitch[start : start + m] = _pitch_block(
+            seg, n, hop, m, buffer.sample_rate_hz, cfg, lo, hi
+        )
+
+    workers = min(_available_cpus(), len(starts))
+    if workers == 1:
+        for start in starts:
+            run(start)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(run, starts))  # re-raises a worker's exception
     return PitchTrack(times=times, pitch_hz=pitch)
 
 

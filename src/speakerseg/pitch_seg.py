@@ -11,6 +11,11 @@ then removes.
 Differences touching an unvoiced frame are zeroed: a silence boundary is
 not evidence of a speaker change.
 
+MFCC rows are computed only over each candidate's verify window, on the
+whole recording's frame grid and with its frame times, so the check sees
+exactly the rows, and the bits, that an MFCC of the whole recording
+would give it.
+
 `build_method` turns a method name and the `RunConfig` tree into a
 segmenter callable, for this pipeline and for the two BIC sweeps alike;
 all three read the same MFCC and BIC settings from `cfg.seg`.
@@ -23,11 +28,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio_io import AudioBuffer
+from .audio_io import AudioBuffer, _frame_signal
 from .bic import BicConfig, detect_fixed, detect_growing, verify_change
 from .errors import FormatError, PreconditionError
 from .evaluation import ChangePointSet
-from .features import MfccConfig, mfcc
+from .features import FeatureMatrix, MfccConfig, mfcc
 from .pitch import PitchConfig, PitchTrack, pitch_track
 
 
@@ -166,8 +171,13 @@ def segment(
     accepted: list[float] = []
     rejected = 0
     if verify and cand_times:
-        features = mfcc(buffer, cfg.mfcc)
+        _, times = _frame_signal(
+            buffer.samples, buffer.sample_rate_hz, cfg.mfcc.window_len, cfg.mfcc.hop
+        )
+        if len(times) == 0:
+            raise PreconditionError("audio shorter than one analysis window")
         for t in cand_times:
+            features = _verify_features(buffer, cfg.mfcc, times, t, cfg.verify_window_s)
             ok, _score = verify_change(
                 features, t, cfg.verify_window_s, cfg.bic.lam, cfg.bic.reg_epsilon
             )
@@ -187,6 +197,23 @@ def segment(
         candidates_rejected=rejected,
         wall_time_s=wall,
     )
+
+
+def _verify_features(
+    buffer: AudioBuffer, cfg: MfccConfig, times: np.ndarray, t: float, window_s: float
+) -> FeatureMatrix:
+    """The rows of mfcc(buffer, cfg) whose frame times lie within window_s/2 of t.
+
+    times are the frame times of the whole recording; the rows are
+    computed from the samples their frames cover.
+    """
+    first = int(np.searchsorted(times, t - window_s / 2.0, side="left"))
+    stop = int(np.searchsorted(times, t + window_s / 2.0, side="right"))
+    if first == stop:
+        return FeatureMatrix(np.empty((0, cfg.n_coeffs)), times[:0])
+    samples = buffer.samples[first * cfg.hop : (stop - 1) * cfg.hop + cfg.window_len]
+    rows = mfcc(AudioBuffer(samples, buffer.sample_rate_hz), cfg)
+    return FeatureMatrix(rows.vectors, times[first:stop])
 
 
 def segments_between(points: ChangePointSet, duration_s: float) -> list[tuple[float, float]]:

@@ -72,7 +72,7 @@ class TestValues:
         samples = 0.3 * sine(210, 8000, n) + rng.normal(0, 0.05, n)
         whole = mfcc(buffer_from(samples), MfccConfig()).vectors
         assert len(whole) == 3 * block
-        for rows in (block - 3, block + 6, 2 * block + 500):
+        for rows in (1, 41, 46, block - 3, block + 6, 2 * block + 500):
             prefix = mfcc(buffer_from(samples[: 80 * rows + 120]), MfccConfig()).vectors
             assert len(prefix) == rows
             assert np.array_equal(prefix, whole[:rows])

@@ -1,5 +1,5 @@
-"""Working memory of the front ends and of the fixed BIC sweep does not
-grow with recording length.
+"""Working memory of the front ends, of the pitch pipeline and of the
+fixed BIC sweep does not grow with recording length.
 
 Working memory is the tracemalloc peak of one call less the bytes of the
 result it returns, whose size is proportional to the length by design.
@@ -16,6 +16,9 @@ from speakerseg.audio_io import AudioBuffer
 from speakerseg.bic import detect_fixed
 from speakerseg.features import FeatureMatrix, mfcc
 from speakerseg.pitch import pitch_track
+from speakerseg.pitch_seg import segment
+
+from conftest import harmonic_tone
 
 FS = 8000
 GROWTH_LIMIT_BYTES = 2_000_000
@@ -45,6 +48,27 @@ def test_working_memory_bounded(fn, result_bytes):
     long = AudioBuffer(rng.uniform(-0.5, 0.5, 600 * FS), FS)
     growth = working_bytes(fn, long, result_bytes) - working_bytes(fn, short, result_bytes)
     assert growth < GROWTH_LIMIT_BYTES
+
+
+def test_segment_working_memory_bounded():
+    """The verify step computes MFCC rows only around each candidate."""
+
+    def turns(seconds):
+        rng = np.random.default_rng(2)
+        turn = np.concatenate([harmonic_tone(130, FS, 5 * FS), harmonic_tone(200, FS, 5 * FS)])
+        samples = np.tile(turn, seconds // 10)
+        return AudioBuffer(samples + rng.normal(0.0, 0.01, len(samples)), FS)
+
+    examined = []
+
+    def result_bytes(result):  # a few hundred bytes, whatever the length
+        examined.append(result.candidates_examined)
+        return 0
+
+    short_bytes = working_bytes(segment, turns(60), result_bytes)
+    long_bytes = working_bytes(segment, turns(600), result_bytes)
+    assert examined[1] > 100  # one candidate per turn, each verified
+    assert long_bytes - short_bytes < GROWTH_LIMIT_BYTES
 
 
 def speaker_features(seconds, hop_s=0.01, turn_s=5.0, d=13):

@@ -252,9 +252,41 @@ class TestPitchTrack:
         monkeypatch.setattr(pitch, "_BLOCK_SAMPLES", 1000)
         assert np.array_equal(pitch_track(buf, cfg).pitch_hz, default.pitch_hz)
 
+    @pytest.mark.parametrize("fs", [8000, 16000])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_worker_count_does_not_change_track(self, monkeypatch, fs, method):
+        pools = []
+
+        class CountingPool(pitch.ThreadPoolExecutor):
+            def __init__(self, workers):
+                pools.append(workers)
+                super().__init__(workers)
+
+        rng = np.random.default_rng(fs + 1)
+        tones = np.concatenate([harmonic_tone(130, fs, fs // 2), harmonic_tone(200, fs, fs // 2)])
+        buf = buffer_from(tones + rng.normal(0, 0.01, len(tones)), fs)
+        cfg = PitchConfig(method=method)
+        monkeypatch.setattr(pitch, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.setattr(pitch, "_BLOCK_SAMPLES", 2000)
+        default = pitch_track(buf, cfg)
+        monkeypatch.setattr(pitch, "_available_cpus", lambda: 1)
+        serial = pitch_track(buf, cfg)
+        monkeypatch.setattr(pitch, "_available_cpus", lambda: 3)
+        threaded = pitch_track(buf, cfg)
+        assert pools[-1] == 3  # at least 3 blocks, each run on the pool
+        assert np.array_equal(serial.pitch_hz, default.pitch_hz)
+        assert np.array_equal(serial.pitch_hz, threaded.pitch_hz)
+        assert np.count_nonzero(serial.pitch_hz) > 0
+
     def test_too_short_buffer(self):
         with pytest.raises(PreconditionError):
             pitch_track(buffer_from(np.zeros(100)), PitchConfig())
+
+    def test_frame_shorter_than_longest_lag(self):
+        # 0.01668 s rounds to 133 samples at 8 kHz; the longest lag at 60 Hz is 133.
+        cfg = PitchConfig(frame_len_s=0.01668)
+        with pytest.raises(PreconditionError, match="longest search lag"):
+            pitch_track(buffer_from(sine(150, 8000, 8000)), cfg)
 
     def test_nonzero_pitch_in_band(self, two_speaker_buffer):
         buf, _ = two_speaker_buffer

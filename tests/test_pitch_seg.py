@@ -3,9 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from speakerseg import pitch_seg
 from speakerseg.audio_io import AudioBuffer
+from speakerseg.bic import verify_change
 from speakerseg.errors import PreconditionError
-from speakerseg.pitch import PitchTrack
+from speakerseg.features import mfcc
+from speakerseg.pitch import PitchConfig, PitchTrack
 from speakerseg.pitch_seg import (
     PitchSegConfig,
     candidates,
@@ -14,6 +17,7 @@ from speakerseg.pitch_seg import (
     segment,
     segments_between,
 )
+from speakerseg.synth import SynthSpec, synth_speakers
 
 from conftest import buffer_from
 
@@ -183,6 +187,33 @@ class TestSegment:
     def test_too_short_buffer(self):
         with pytest.raises(PreconditionError):
             segment(buffer_from(np.zeros(800)), PitchSegConfig())
+
+    @pytest.mark.parametrize("method", ["amdf", "acf"])
+    def test_verify_windows_match_full_recording_features(self, monkeypatch, method):
+        buffer, _ = synth_speakers(
+            SynthSpec(n_speakers=4, duration_s=4.0, noise_level=0.08, seed=3)
+        )
+        cfg = PitchSegConfig(pitch=PitchConfig(method=method))
+        scores = []
+
+        def recording_verify(features, t, *args):
+            ok, score = verify_change(features, t, *args)
+            scores.append(score)
+            return ok, score
+
+        monkeypatch.setattr(pitch_seg, "verify_change", recording_verify)
+        result = segment(buffer, cfg)
+        cand = segment(buffer, cfg, verify=False).change_points.times
+        whole = mfcc(buffer, cfg.mfcc)
+        expected = [
+            verify_change(whole, t, cfg.verify_window_s, cfg.bic.lam, cfg.bic.reg_epsilon)
+            for t in cand
+        ]
+        assert 0 < result.candidates_rejected < len(cand)
+        assert scores == [score for _, score in expected]
+        accepted = [t for t, (ok, _) in zip(cand, expected) if ok]
+        assert result.change_points.times.tolist() == accepted
+        assert result.candidates_rejected == len(cand) - len(accepted)
 
     def test_result_serializes(self, two_speaker_buffer):
         buffer, _ = two_speaker_buffer
