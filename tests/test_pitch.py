@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -272,7 +274,12 @@ class TestPitchTrack:
         monkeypatch.setattr(pitch, "_available_cpus", lambda: 1)
         serial = pitch_track(buf, cfg)
         monkeypatch.setattr(pitch, "_available_cpus", lambda: 3)
-        threaded = pitch_track(buf, cfg)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            threaded = pitch_track(buf, cfg)
+        finally:
+            sys.setswitchinterval(interval)
         assert pools[-1] == 3  # at least 3 blocks, each run on the pool
         assert np.array_equal(serial.pitch_hz, default.pitch_hz)
         assert np.array_equal(serial.pitch_hz, threaded.pitch_hz)
