@@ -13,11 +13,23 @@ covariances are maximum-likelihood (divide by n) and regularized with
 reg_epsilon * I before taking the determinant so short windows stay
 positive definite.
 
-Every score goes through one kernel: `_ml_cov` forms the two-pass ML
-covariance of a row set or of a stack of equal-sized sets, and `_log_dets`
-factors all the covariances a caller needs in one batched Cholesky call.
-Batching changes no bit of a score: each set is centred and multiplied
-out on its own, and LAPACK factors each matrix of a batch on its own.
+`_log_dets` factors all the covariances a caller needs in one batched
+Cholesky call. Scores of one split per window (`delta_bic`,
+`verify_change`, `fixed_window_scores`) take their covariances from
+`_ml_cov`, the two-pass ML covariance of a row set or of a stack of
+equal-sized sets. Batching changes no bit of these scores: each set is
+centred and multiplied out on its own, and LAPACK factors each matrix of
+a batch on its own.
+
+The growing window scores every split of a window (`_best_split`, also
+reached through `_refine_split`). It centres the window at its mean and
+reads the covariances of the window and of both sides of every split
+off prefix sums of the rows and of their outer products (Cettolo &
+Vescovi, ICASSP 2003). These scores round differently from the two-pass
+form. On random windows they differ from `delta_bic` at the same split by
+at most about 1e-11 * n * d; the scores of the change points found on the
+test fixture moved by at most 3.2e-13 relative. Only splits whose scores
+tie within that margin could be ordered differently.
 
 Two sweep strategies emit multiple change points: a growing window that
 restarts at each accepted change, and a fixed-size window slid at a
@@ -96,7 +108,7 @@ def fit_gaussian(rows, reg_epsilon: float = DEFAULT_REG_EPSILON) -> GaussianStat
     if not np.all(np.isfinite(rows)):
         raise PreconditionError("rows must be finite")
     cov = _ml_cov(rows)
-    log_det = float(_log_dets(cov, reg_epsilon))
+    log_det = float(_log_dets(cov.copy(), reg_epsilon))
     return GaussianStats(n=n, mean=rows.mean(axis=0), cov=cov, log_det=log_det)
 
 
@@ -107,9 +119,24 @@ def _ml_cov(x: np.ndarray) -> np.ndarray:
 
 
 def _log_dets(covs: np.ndarray, reg_epsilon: float) -> np.ndarray:
-    """ln|cov + reg_epsilon * I| of a (d, d) matrix or of each of a stack, in one Cholesky call."""
-    chol = np.linalg.cholesky(covs + reg_epsilon * np.eye(covs.shape[-1]))
+    """ln|cov + reg_epsilon * I| of a (d, d) matrix or of each of a stack, in one Cholesky call.
+
+    Adds reg_epsilon to the diagonal of covs in place, so the caller must own covs.
+    """
+    np.einsum("...ii->...i", covs)[...] += reg_epsilon
+    chol = np.linalg.cholesky(covs)
     return 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+
+
+def _cov_from_sums(s1: np.ndarray, count, out: np.ndarray) -> None:
+    """Turn out from sums of row outer products into ML covariances, in place.
+
+    s1 holds the row sums of each set and count its number of rows.
+    """
+    count = np.asarray(count, dtype=np.float64)
+    mean = s1 / count[..., None]
+    out /= count[..., None, None]
+    out -= mean[..., :, None] * mean[..., None, :]
 
 
 def _split_scores(n: int, b, whole, left, right, pen: float):
@@ -150,19 +177,33 @@ def delta_bic(
 
 
 def _best_split(rows: np.ndarray, lam: float, reg_epsilon: float, min_b: int = 0):
-    """(split, score) of the first maximum over the admissible splits; (None, -inf) if none."""
+    """(split, score) of the first maximum over the admissible splits; (None, -inf) if none.
+
+    The covariances of the window and of both sides of every split are
+    read off prefix sums of the rows, centred at the window's mean, and of
+    their outer products: side rows[:b] sums prefix b - 1, side rows[b:]
+    the total less it.
+    """
     n, d = rows.shape
     lo, hi = max(d + 1, min_b), n - d - 1
     if lo > hi:
         return None, -math.inf
     k = hi - lo + 1
+    centred = rows - rows.mean(axis=0)
+    s1 = np.cumsum(centred, axis=0)
+    s2 = centred[:, :, None] * centred[:, None, :]
+    np.cumsum(s2, axis=0, out=s2)
+    b = np.arange(lo, hi + 1)
     covs = np.empty((2 * k + 1, d, d))
-    covs[0] = _ml_cov(rows)
-    for i, b in enumerate(range(lo, hi + 1)):
-        covs[1 + i] = _ml_cov(rows[:b])
-        covs[1 + k + i] = _ml_cov(rows[b:])
+    covs[0] = s2[-1]
+    _cov_from_sums(s1[-1], n, covs[0])
+    covs[1 : k + 1] = s2[lo - 1 : hi]
+    _cov_from_sums(s1[lo - 1 : hi], b, covs[1 : k + 1])
+    np.subtract(s2[-1], s2[lo - 1 : hi], out=covs[k + 1 :])
+    _cov_from_sums(s1[-1] - s1[lo - 1 : hi], n - b, covs[k + 1 :])
+    del s2  # before the factorization, which allocates a stack as large as covs
     whole, left, right = np.split(_log_dets(covs, reg_epsilon), [1, k + 1])
-    scores = _split_scores(n, np.arange(lo, hi + 1), whole, left, right, penalty(d, n, lam))
+    scores = _split_scores(n, b, whole, left, right, penalty(d, n, lam))
     best = int(np.argmax(scores))
     return lo + best, float(scores[best])
 

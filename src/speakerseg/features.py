@@ -9,6 +9,7 @@ for identical input and config.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.fft import dct
@@ -91,8 +92,12 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@lru_cache(maxsize=16)
 def mel_filterbank(n_filters: int, nfft: int, sample_rate_hz: int) -> np.ndarray:
-    """Triangular filters on the rfft bin grid, 0 Hz to Nyquist."""
+    """Triangular filters on the rfft bin grid, 0 Hz to Nyquist.
+
+    Cached per argument tuple; the returned array is shared, so it is read-only.
+    """
     edges = mel_to_hz(np.linspace(0.0, hz_to_mel(sample_rate_hz / 2.0), n_filters + 2))
     bin_freqs = np.arange(nfft // 2 + 1) * (sample_rate_hz / nfft)
     bank = np.zeros((n_filters, len(bin_freqs)))
@@ -101,7 +106,16 @@ def mel_filterbank(n_filters: int, nfft: int, sample_rate_hz: int) -> np.ndarray
         up = (bin_freqs - left) / (center - left)
         down = (right - bin_freqs) / (right - center)
         bank[m] = np.maximum(0.0, np.minimum(up, down))
+    bank.setflags(write=False)
     return bank
+
+
+@lru_cache(maxsize=16)
+def _hamming(n: int) -> np.ndarray:
+    """Read-only Hamming window of n samples, cached per length."""
+    window = np.hamming(n)
+    window.setflags(write=False)
+    return window
 
 
 def _mel_product(magnitude: np.ndarray, bank_t: np.ndarray) -> np.ndarray:
@@ -123,7 +137,7 @@ def mfcc(buffer: AudioBuffer, cfg: MfccConfig | None = None) -> FeatureMatrix:
         buffer.samples, buffer.sample_rate_hz, cfg.window_len, cfg.hop
     )
     nfft = next_pow2(cfg.window_len)
-    window = np.hamming(cfg.window_len)
+    window = _hamming(cfg.window_len)
     bank_t = mel_filterbank(cfg.n_mel_filters, nfft, buffer.sample_rate_hz).T
     first = 0 if cfg.include_c0 else 1
     vectors = np.empty((len(rows), cfg.n_coeffs))

@@ -12,19 +12,28 @@ return fs/tau, or 0.0 for frames that fail the voicing gate.
 The track over a recording is computed in blocks of frames spanning
 about _BLOCK_SAMPLES samples. For each lag tau, a block forms the pair
 values |x[t] - x[t+tau]| (AMDF) or x[t] * x[t+tau] (ACF) once over the
-samples it covers; each frame's sum then reads its own window of that
-buffer. A frame thus adds the same values in the same order as a
-per-frame temporary would, so the track is bit-identical to calling
-pitch_frame per frame, on any float input and for any block size. The
-cepstrum transforms each frame of a block separately. Working memory is
-a few block-sized buffers per block in flight and does not grow with the
-length of the recording; only the output does.
+samples it covers and sums them in hop-sized chunks; each frame's sum is
+its whole chunks plus one partial chunk. A lone frame (pitch_frame, acf,
+amdf) is one chunk. The cepstrum transforms each frame of a block
+separately. Working memory is a few block-sized buffers per block in
+flight and does not grow with the length of the recording; only the
+output does.
+
+Exactness. On anything load_wav returns (16-bit PCM, mono or stereo)
+every sample is a multiple of 2**-16 in [-1, 1]. Every AMDF pair value
+is then a multiple of 2**-16 and every ACF pair value one of 2**-32, so
+a partial sum over a frame of n samples needs at most 33 + log2(n) bits
+(42 at n = 480), under float64's 53. Every summation order is thus
+exact: the track is bit-identical to summing each frame's own pair
+values with np.sum, for any block size and any number of threads. On
+other float input the chunked sums differ from a per-frame sum by at
+most about n * eps * sum(|pair values|).
 
 The blocks are independent and each writes its own slice of the output,
 so they run on a pool of min(CPUs available to the process, blocks)
 threads; numpy releases the GIL inside the pair and sum loops. The pool
 lives for one call (a pool made before a fork would hang in the child).
-The track is bit-identical for any number of threads.
+Each block computes the same sums whatever thread runs it.
 
 AMDF selection and voicing operate on the per-overlap-sample mean of the
 raw difference sum: the raw sum shrinks with lag simply because fewer
@@ -171,16 +180,30 @@ def _lag_sums(seg: np.ndarray, n: int, hop: int, m: int, lags, pair) -> np.ndarr
     """(m, len(lags)) sums of pair(x[i], x[i + tau]) over i < n - tau per frame.
 
     seg holds m frames of n samples, hop apart, and every tau < n. Each
-    lag's pair values are formed once over seg into one reused buffer,
-    where frame k's pairs are work[k*hop : k*hop + n - tau].
+    lag's pair values are formed once over seg into one reused buffer and
+    summed in hop-sized chunks by one matrix-vector product. Frame k's
+    sum is then its c = (n - tau) // hop whole chunks k .. k + c - 1 plus
+    the first (n - tau) % hop values of chunk k + c. A lone frame is one
+    chunk of n samples.
     """
-    out = np.empty((m, len(lags)))
-    work = np.empty(len(seg))
-    frames = _frames_of(work, n, hop, m)
+    if m == 1:
+        hop = n
+    n_chunks = m + n // hop  # covers seg, and the partial chunk of the last frame
+    work = np.zeros(n_chunks * hop)
+    chunks = work.reshape(n_chunks, hop)
+    ones = np.ones(hop)
+    out = np.zeros((len(lags), m))
     for j, tau in enumerate(lags):
         pair(seg[: len(seg) - tau], seg[tau:], out=work[: len(seg) - tau])
-        out[:, j] = frames[:, : n - tau].sum(axis=1)
-    return out
+        whole, part = divmod(n - tau, hop)
+        row = out[j]
+        if whole:
+            chunk_sums = chunks[: m + whole - 1] @ ones
+            for q in range(whole):
+                row += chunk_sums[q : q + m]
+        if part:
+            row += chunks[whole : whole + m, :part] @ ones[:part]
+    return out.T
 
 
 def _cepstrum_rows(rows: np.ndarray, nfft: int) -> np.ndarray:

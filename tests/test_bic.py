@@ -292,7 +292,7 @@ def synth_features(tmp_path, spec):
 
 
 class TestGoldenScores:
-    """Every change point and score, bit for bit, as the one-fit-per-split code computed them.
+    """Every change point and score, bit for bit.
 
     The values were recorded on x86-64 with numpy 2.4 and its bundled
     OpenBLAS; another BLAS or CPU may differ in the last bits.
@@ -301,13 +301,25 @@ class TestGoldenScores:
     def test_detect_growing(self, tmp_path):
         spec = SynthSpec(n_speakers=6, duration_s=5.0, noise_level=0.01, seed=42)
         points = detect_growing(synth_features(tmp_path, spec), BicConfig())
+        # Scores from the prefix-sum kernel of _best_split.
         assert [(p.time_s, p.score.hex()) for p in points] == [
-            (4.99, "0x1.caaee825ec75ap+8"),
-            (9.99, "0x1.34f338cf58fcep+8"),
-            (14.99, "0x1.202b0e644b13dp+9"),
-            (19.990000000000002, "0x1.435ee0f37229dp+9"),
-            (25.0, "0x1.ce0b6d3a7a7e2p+8"),
+            (4.99, "0x1.caaee825eca2ap+8"),
+            (9.99, "0x1.34f338cf58f02p+8"),
+            (14.99, "0x1.202b0e644aff7p+9"),
+            (19.990000000000002, "0x1.435ee0f3720edp+9"),
+            (25.0, "0x1.ce0b6d3a7b21ap+8"),
         ]
+        # The same points as the two-pass kernel (one _ml_cov per side of
+        # every split) scored them.
+        two_pass = [
+            "0x1.caaee825ec75ap+8",
+            "0x1.34f338cf58fcep+8",
+            "0x1.202b0e644b13dp+9",
+            "0x1.435ee0f37229dp+9",
+            "0x1.ce0b6d3a7a7e2p+8",
+        ]
+        for p, want in zip(points, two_pass):
+            assert p.score == pytest.approx(float.fromhex(want), rel=1e-9, abs=0)
 
     def test_detect_fixed(self, tmp_path):
         spec = SynthSpec(n_speakers=6, duration_s=10.0, noise_level=0.02, seed=42)
@@ -322,7 +334,11 @@ class TestGoldenScores:
 
 
 class TestBatchedKernel:
-    """The batched sweeps give exactly the scores of one delta_bic call per window."""
+    """The batched sweeps against one delta_bic call per scored split.
+
+    The fixed window's scores are equal exactly; the growing window's
+    prefix-sum scores are equal within rounding.
+    """
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -368,5 +384,11 @@ class TestBatchedKernel:
             assert (b, score) == (None, -math.inf)
             return
         want = [delta_bic(rows, s, 1.0, 1e-6) for s in splits]
-        assert score == max(want)
-        assert b == splits[want.index(max(want))]
+        # _best_split reads its covariances off prefix sums and delta_bic
+        # forms each side in two passes, so the two round differently. A
+        # score weighs d-dimensional log-determinants by n rows in all; the
+        # largest gap over 2,900 draws of this domain was 1.2e-11 * n * d.
+        tol = 1e-9 * n * d
+        assert abs(score - max(want)) <= tol
+        assert b in splits
+        assert want[b - splits[0]] >= max(want) - tol

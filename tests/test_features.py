@@ -102,6 +102,16 @@ class TestFilterbank:
         assert np.all(bank >= 0)
         assert np.all(bank.sum(axis=1) > 0)
 
+    def test_cached_tables_reject_writes(self):
+        bank = mel_filterbank(26, 256, 8000)
+        assert mel_filterbank(26, 256, 8000) is bank
+        window = features._hamming(200)
+        assert features._hamming(200) is window
+        assert np.array_equal(window, np.hamming(200))
+        for table in (bank, window, bank.T):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1.0
+
 
 class TestFeatureMatrix:
     def test_rejects_nan(self):

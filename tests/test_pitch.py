@@ -1,11 +1,15 @@
+import math
 import sys
+import wave
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from speakerseg import pitch
+from speakerseg.audio_io import load_wav
 from speakerseg.errors import PreconditionError
 from speakerseg.pitch import (
     ACF,
@@ -70,22 +74,63 @@ class TestAcf:
             acf([])
 
 
-class TestLagSums:
-    """The block kernel against per-frame contiguous temporaries."""
+def per_frame_lag_sums(seg, n, hop, m, lags, pair):
+    """Reference kernel: one np.sum per frame over its own window of each lag's pair buffer."""
+    out = np.empty((m, len(lags)))
+    work = np.empty(len(seg))
+    frames = sliding_window_view(work, n)[::hop][:m]
+    for j, tau in enumerate(lags):
+        pair(seg[: len(seg) - tau], seg[tau:], out=work[: len(seg) - tau])
+        out[:, j] = frames[:, : n - tau].sum(axis=1)
+    return out
 
-    @pytest.mark.parametrize("n, hop", [(240, 80), (134, 80), (400, 160), (50, 64)])
-    def test_rows_equal_per_frame_sums(self, n, hop):
-        m = 9
-        seg = np.random.default_rng(n + hop).normal(0, 0.3, (m - 1) * hop + n)
-        lags = np.arange(n)
-        got_acf = pitch._lag_sums(seg, n, hop, m, lags, np.multiply)
-        got_amdf = pitch._lag_sums(seg, n, hop, m, lags, pitch._abs_diff)
+
+def pcm16(x):
+    """x rounded to 16-bit PCM and scaled as load_wav scales it."""
+    return np.clip(np.rint(x * 32768), -32768, 32767) / 32768
+
+
+class TestLagSums:
+    """The chunk-sum kernel against the sum of each frame's own pair values."""
+
+    # (n, hop): the default 8 kHz geometry; a frame that is not a multiple
+    # of the hop, so most lags end in a partial chunk; a 16 kHz frame; and
+    # frames shorter than the hop, which share no samples.
+    GEOMETRIES = [(240, 80), (134, 80), (400, 160), (50, 64)]
+
+    @staticmethod
+    def frame_terms(seg, n, hop, m, pair):
+        """(k, tau, pair values of frame k at lag tau) for every frame and lag."""
         for k in range(m):
             frame = seg[k * hop : k * hop + n].copy()
-            for tau in lags:
-                a, b = frame[: n - tau], frame[tau:]
-                assert got_acf[k, tau] == np.sum(a * b)
-                assert got_amdf[k, tau] == np.sum(np.abs(a - b))
+            for tau in range(n):
+                yield k, tau, pair(frame[: n - tau], frame[tau:], out=np.empty(n - tau))
+
+    @pytest.mark.parametrize("n, hop", GEOMETRIES)
+    def test_rows_equal_per_frame_sums(self, n, hop):
+        # On PCM16 frames, exactly. Each sample is a stereo downmix, a
+        # multiple of 2**-16, so every partial sum is exact in float64 and
+        # the summation order cannot show.
+        rng = np.random.default_rng(n + hop)
+        for m in (1, 9):
+            length = (m - 1) * hop + n
+            seg = (pcm16(rng.normal(0, 0.3, length)) + pcm16(rng.normal(0, 0.3, length))) / 2
+            for pair in (np.multiply, pitch._abs_diff):
+                got = pitch._lag_sums(seg, n, hop, m, np.arange(n), pair)
+                for k, tau, terms in self.frame_terms(seg, n, hop, m, pair):
+                    assert got[k, tau] == np.sum(terms) == math.fsum(terms)
+
+    @pytest.mark.parametrize("n, hop", GEOMETRIES)
+    def test_float_frames_within_summation_bound(self, n, hop):
+        rng = np.random.default_rng(n * hop)
+        eps = np.finfo(np.float64).eps
+        for m in (1, 9):
+            seg = rng.normal(0, 0.3, (m - 1) * hop + n)
+            for pair in (np.multiply, pitch._abs_diff):
+                got = pitch._lag_sums(seg, n, hop, m, np.arange(n), pair)
+                for k, tau, terms in self.frame_terms(seg, n, hop, m, pair):
+                    exact = math.fsum(terms)
+                    assert abs(got[k, tau] - exact) <= n * eps * math.fsum(np.abs(terms))
 
 
 class TestAmdf:
@@ -179,6 +224,30 @@ class TestVoicing:
             pitch_frame(rng.normal(0, 0.1, 240), 8000, cfg) == 0.0 for _ in range(100)
         )
         assert unvoiced >= 95
+
+
+class TestShortFrames:
+    """134-sample frames at 8 kHz: the longest lag, 133, leaves one pair."""
+
+    @pytest.mark.parametrize(
+        "method",
+        [
+            ACF,
+            pytest.param(
+                AMDF,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="AMDF voices none of these frames (CHANGES.md FOUND, ROADMAP item 4)",
+                ),
+            ),
+        ],
+    )
+    def test_tone_voiced_in_every_frame(self, method):
+        rng = np.random.default_rng(200)
+        samples = harmonic_tone(200, 8000, 4000) + rng.normal(0, 0.01, 4000)
+        track = pitch_track(buffer_from(samples), PitchConfig(method=method, frame_len_s=0.01675))
+        assert len(track) == 49
+        assert np.all(track.pitch_hz == 200.0)
 
 
 class TestPitchTrack:
@@ -312,6 +381,54 @@ class TestPitchTrack:
         lines = out.read_text().splitlines()
         assert lines[0] == "time_s\tpitch_hz"
         assert len(lines) == len(track) + 1
+
+
+def write_pcm16_wav(path, channels, fs):
+    """Write channels (equal-length float arrays) as an interleaved 16-bit PCM WAV."""
+    ints = np.clip(np.rint(np.stack(channels, axis=1) * 32768), -32768, 32767).astype("<i2")
+    with wave.open(str(path), "wb") as fp:
+        fp.setnchannels(len(channels))
+        fp.setsampwidth(2)
+        fp.setframerate(fs)
+        fp.writeframes(ints.tobytes())
+
+
+class TestPcm16BitIdentity:
+    """On anything load_wav returns, the chunk-sum kernel reproduces the per-frame np.sum kernel bit for bit."""
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("fs", [8000, 16000])
+    @pytest.mark.parametrize("method", [AMDF, ACF])
+    def test_track_equals_per_frame_sum_kernel(self, tmp_path, monkeypatch, method, fs, channels):
+        rng = np.random.default_rng(fs + channels)
+        n = 7 * fs // 4
+        tones = np.concatenate([harmonic_tone(130, fs, n), harmonic_tone(200, fs, n)])
+        left = tones + rng.normal(0, 0.02, 2 * n)
+        right = 0.6 * tones + rng.normal(0, 0.05, 2 * n)
+        path = tmp_path / "x.wav"
+        write_pcm16_wav(path, [left, right][:channels], fs)
+        buf = load_wav(path)
+        cfg = PitchConfig(method=method)
+        monkeypatch.setattr(pitch, "_BLOCK_SAMPLES", 8000)
+        assert len(buf.samples) >= 3 * 8000
+        kernel, blocks = pitch._lag_sums, []
+
+        def checked_lag_sums(*args):
+            got = kernel(*args)
+            assert np.array_equal(got, per_frame_lag_sums(*args))  # every sum, not only the pitch
+            blocks.append(args[3])
+            return got
+
+        monkeypatch.setattr(pitch, "_lag_sums", checked_lag_sums)
+        default = pitch_track(buf, cfg)
+        monkeypatch.setattr(pitch, "_available_cpus", lambda: 1)
+        serial = pitch_track(buf, cfg)
+        assert len(blocks) >= 2 * 3 and sum(blocks) == 2 * len(default)
+        monkeypatch.setattr(pitch, "_lag_sums", per_frame_lag_sums)
+        reference = pitch_track(buf, cfg)
+        assert np.array_equal(default.pitch_hz, reference.pitch_hz)
+        assert np.array_equal(serial.pitch_hz, reference.pitch_hz)
+        assert np.count_nonzero(reference.pitch_hz) > 0
 
 
 class TestSineAccuracy:
