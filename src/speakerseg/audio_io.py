@@ -97,8 +97,8 @@ def load_wav(path) -> AudioBuffer:
         raise UnsupportedWavError(f"{path}: only PCM supported, got format {audio_format}")
     if bits != 16:
         raise UnsupportedWavError(f"{path}: only 16-bit samples supported, got {bits}")
-    if n_channels < 1:
-        raise WavFormatError(f"{path}: channel count {n_channels}")
+    if n_channels < 1 or sample_rate < 1:
+        raise WavFormatError(f"{path}: {n_channels} channels at {sample_rate} Hz")
 
     frame_bytes = 2 * n_channels
     usable = len(payload) - len(payload) % frame_bytes

@@ -11,6 +11,7 @@ and exits. Exit codes: 0 success, 1 usage, 2 missing/unreadable files,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -100,7 +101,10 @@ def _coerce(field: dataclasses.Field, raw: str, key: str):
 
 def parse_config_file(path) -> dict:
     """Flat key = value lines; # starts a comment, blank lines ignored."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text") from exc
     values: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -119,7 +123,7 @@ def parse_config_file(path) -> dict:
 def resolve_config(args) -> RunConfig:
     """defaults <- config file <- command-line flags, rightmost wins."""
     values: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         values.update(parse_config_file(args.config))
     for flag, name in (("method", "method"), ("tolerance", "tolerance_s"), ("seed", "seed")):
         if getattr(args, flag, None) is not None:
@@ -130,62 +134,33 @@ def resolve_config(args) -> RunConfig:
         raise FormatError(str(exc)) from exc
 
 
-def _open_out(path):
+@contextlib.contextmanager
+def _output(path):
+    """A text stream writing to path, or to stdout for None or '-'."""
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8") as fp:
+            yield fp
 
 
-def _write_text(path, text: str) -> None:
-    fp, close = _open_out(path)
-    try:
-        fp.write(text)
-    finally:
-        if close:
-            fp.close()
-
-
-def _maybe_dry_run(args, cfg: RunConfig) -> bool:
-    if getattr(args, "dry_run", False):
-        print(json.dumps(_to_flat(cfg), indent=2, sort_keys=True))
-        return True
-    return False
-
-
-def cmd_pitch(args) -> int:
-    cfg = resolve_config(args)
-    if _maybe_dry_run(args, cfg):
-        return EXIT_OK
+def cmd_pitch(args, cfg: RunConfig) -> int:
     buffer = load_wav(args.audio)
     track = pitch_track(buffer, cfg.seg.pitch)
-    fp, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fp:
         write_track_tsv(track, fp)
-    finally:
-        if close:
-            fp.close()
     return EXIT_OK
 
 
-def cmd_features(args) -> int:
-    cfg = resolve_config(args)
-    if _maybe_dry_run(args, cfg):
-        return EXIT_OK
+def cmd_features(args, cfg: RunConfig) -> int:
     buffer = load_wav(args.audio)
     features = mfcc(buffer, cfg.seg.mfcc)
-    fp, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fp:
         write_features_tsv(features, fp)
-    finally:
-        if close:
-            fp.close()
     return EXIT_OK
 
 
-def cmd_segment(args) -> int:
-    cfg = resolve_config(args)
-    if _maybe_dry_run(args, cfg):
-        return EXIT_OK
+def cmd_segment(args, cfg: RunConfig) -> int:
     buffer = load_wav(args.audio)
     run = build_method(cfg.method, cfg)
     result = run(buffer)
@@ -196,20 +171,19 @@ def cmd_segment(args) -> int:
             print(f"{t:.3f}")
     if args.json:
         payload = {"method": cfg.method, "audio": str(args.audio), **result.to_dict()}
-        _write_text(args.json, json.dumps(payload, indent=2) + "\n")
+        with _output(args.json) as fp:
+            fp.write(json.dumps(payload, indent=2) + "\n")
     print(f"wall_time_s={result.wall_time_s:.3f}", file=sys.stderr)
     return EXIT_OK
 
 
-def cmd_evaluate(args) -> int:
-    cfg = resolve_config(args)
-    if _maybe_dry_run(args, cfg):
-        return EXIT_OK
+def cmd_evaluate(args, cfg: RunConfig) -> int:
     reference = read_change_points(args.reference)
     hypothesis = read_change_points(args.hypothesis)
     report = evaluate(reference, hypothesis, cfg.tolerance_s)
     if args.json:
-        _write_text(args.json, json.dumps(report.to_dict(), indent=2) + "\n")
+        with _output(args.json) as fp:
+            fp.write(json.dumps(report.to_dict(), indent=2) + "\n")
     else:
         rows = [
             ("fd", f"{report.fd:.4f}"),
@@ -226,10 +200,7 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    cfg = resolve_config(args)
-    if _maybe_dry_run(args, cfg):
-        return EXIT_OK
+def cmd_bench(args, cfg: RunConfig) -> int:
     buffer = load_wav(args.audio)
     reference = read_change_points(args.reference)
     names = [m.strip() for m in args.methods.split(",") if m.strip()]
@@ -237,7 +208,8 @@ def cmd_bench(args) -> int:
         raise FormatError("no methods given")
     methods = [(name, build_method(name, cfg)) for name in names]
     result = benchmark(buffer, reference, methods, cfg.tolerance_s)
-    _write_text(args.out, result.to_csv())
+    with _output(args.out) as fp:
+        fp.write(result.to_csv())
     for row in result.rows:
         if row.error is not None:
             print(f"{row.method}: failed: {row.error}", file=sys.stderr)
@@ -258,10 +230,7 @@ def _parse_float_list(raw: str, flag: str) -> tuple[float, ...]:
         raise FormatError(f"{flag}: {exc}") from exc
 
 
-def cmd_synth(args) -> int:
-    cfg = resolve_config(args)
-    if _maybe_dry_run(args, cfg):
-        return EXIT_OK
+def cmd_synth(args, cfg: RunConfig) -> int:
     durations = _parse_float_list(args.seconds, "--seconds")
     duration_s = durations[0] if len(durations) == 1 else durations
     f0 = _parse_float_list(args.f0, "--f0") if args.f0 else None
@@ -295,49 +264,43 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="speakerseg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="flat key = value config file")
+    common.add_argument("--dry-run", action="store_true", help="print resolved config and exit")
 
-    def common(p):
-        p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--dry-run", action="store_true", help="print resolved config and exit")
-
-    p = sub.add_parser("pitch", parents=[], help="pitch track as TSV")
+    p = sub.add_parser("pitch", parents=[common], help="pitch track as TSV")
     p.add_argument("audio")
     p.add_argument("--out", help="output path (default stdout)")
-    common(p)
     p.set_defaults(func=cmd_pitch)
 
-    p = sub.add_parser("features", help="MFCC matrix as TSV")
+    p = sub.add_parser("features", parents=[common], help="MFCC matrix as TSV")
     p.add_argument("audio")
     p.add_argument("--out", help="output path (default stdout)")
-    common(p)
     p.set_defaults(func=cmd_features)
 
-    p = sub.add_parser("segment", help="detect speaker changes")
+    p = sub.add_parser("segment", parents=[common], help="detect speaker changes")
     p.add_argument("audio")
     p.add_argument("--method", choices=SEG_METHODS, help="segmentation method")
     p.add_argument("--out", help="change-point file (default: print to stdout)")
     p.add_argument("--json", help="write the full result as JSON ('-' for stdout)")
-    common(p)
     p.set_defaults(func=cmd_segment)
 
-    p = sub.add_parser("evaluate", help="score a hypothesis against a reference")
+    p = sub.add_parser("evaluate", parents=[common], help="score a hypothesis against a reference")
     p.add_argument("reference")
     p.add_argument("hypothesis")
     p.add_argument("--json", help="write the report as JSON ('-' for stdout)")
     p.add_argument("--tolerance", type=float, help="match tolerance in seconds")
-    common(p)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("bench", help="compare methods on one recording")
+    p = sub.add_parser("bench", parents=[common], help="compare methods on one recording")
     p.add_argument("audio")
     p.add_argument("reference")
     p.add_argument("--methods", default="pitch,bic-grow", help="comma-separated method names")
     p.add_argument("--out", help="CSV path (default stdout)")
     p.add_argument("--tolerance", type=float, help="match tolerance in seconds")
-    common(p)
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("synth", help="generate a synthetic multi-speaker WAV")
+    p = sub.add_parser("synth", parents=[common], help="generate a synthetic multi-speaker WAV")
     p.add_argument("--out", required=True, help="WAV output path")
     p.add_argument("--ref-out", required=True, help="ground-truth change-point file")
     p.add_argument("--speakers", type=int, default=2)
@@ -346,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=0.01)
     p.add_argument("--rate", type=int, default=8000)
     p.add_argument("--seed", type=int, help="seed for synthetic generation")
-    common(p)
     p.set_defaults(func=cmd_synth)
 
     return parser
@@ -358,7 +320,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        cfg = resolve_config(args)
+        if args.dry_run:
+            print(json.dumps(_to_flat(cfg), indent=2, sort_keys=True))
+            return EXIT_OK
+        return args.func(args, cfg)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
         return EXIT_IO

@@ -229,7 +229,10 @@ def benchmark(
 
 def read_change_points(path) -> ChangePointSet:
     """One decimal timestamp (seconds) per line; blank lines ignored."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text") from exc
     times = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()

@@ -40,7 +40,6 @@ from .pitch import PitchConfig, PitchTrack, pitch_track
 class PitchSegConfig:
     threshold_coef: float = 0.7
     gamma: float = 0.3
-    gamma_c: float = 1.0
     verify_window_s: float = 0.4
     min_gap_s: float = 0.5
     pitch: PitchConfig = field(default_factory=PitchConfig)
@@ -50,8 +49,8 @@ class PitchSegConfig:
     def __post_init__(self):
         if not 0.0 < self.threshold_coef <= 1.0:
             raise ValueError("threshold_coef must lie in (0, 1]")
-        if self.gamma <= 0 or self.gamma_c <= 0:
-            raise ValueError("gamma and gamma_c must be positive")
+        if self.gamma <= 0:
+            raise ValueError("gamma must be positive")
         if self.verify_window_s <= 0:
             raise ValueError("verify_window_s must be positive")
         if self.min_gap_s < 0:
@@ -87,19 +86,19 @@ def pitch_diff(track: PitchTrack) -> np.ndarray:
     return np.where(voiced_pair, diffs, 0.0)
 
 
-def gamma_correct(diff, c: float, gamma: float) -> np.ndarray:
-    """Normalize by the sequence maximum, then map x to c * x**gamma.
+def gamma_correct(diff, gamma: float) -> np.ndarray:
+    """Normalize by the sequence maximum, then map x to x**gamma.
 
     All-zero input stays all-zero. With gamma < 1 small normalized values
-    are lifted while 1.0 stays fixed (for c = 1).
+    are lifted while 1.0 stays fixed; a scale factor would cancel in candidates().
     """
-    if c <= 0 or gamma <= 0:
-        raise ValueError("c and gamma must be positive")
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
     diff = np.asarray(diff, dtype=np.float64)
     peak = diff.max(initial=0.0)
     if peak <= 0.0:
         return np.zeros_like(diff)
-    return c * (diff / peak) ** gamma
+    return (diff / peak) ** gamma
 
 
 def candidates(
@@ -147,17 +146,8 @@ def candidates(
     return sorted(t for _, t in kept)
 
 
-def segment(
-    buffer: AudioBuffer,
-    cfg: PitchSegConfig | None = None,
-    verify: bool = True,
-) -> SegmentationResult:
-    """Full pitch-jump segmentation of one recording.
-
-    verify=False skips the BIC double-check and accepts every candidate;
-    it exists so tests can compare the verified result against the raw
-    candidate set.
-    """
+def segment(buffer: AudioBuffer, cfg: PitchSegConfig | None = None) -> SegmentationResult:
+    """Full pitch-jump segmentation of one recording."""
     cfg = cfg or PitchSegConfig()
     if buffer.duration_s <= cfg.verify_window_s:
         raise PreconditionError("audio shorter than the verification window")
@@ -165,12 +155,12 @@ def segment(
     track = pitch_track(buffer, cfg.pitch)
     if len(track) < 2:
         raise PreconditionError("audio too short for a pitch difference")
-    corrected = gamma_correct(pitch_diff(track), cfg.gamma_c, cfg.gamma)
+    corrected = gamma_correct(pitch_diff(track), cfg.gamma)
     cand_times = candidates(corrected, track.times, cfg.threshold_coef, cfg.min_gap_s)
 
     accepted: list[float] = []
     rejected = 0
-    if verify and cand_times:
+    if cand_times:
         _, times = _frame_signal(
             buffer.samples, buffer.sample_rate_hz, cfg.mfcc.window_len, cfg.mfcc.hop
         )
@@ -185,8 +175,6 @@ def segment(
                 accepted.append(t)
             else:
                 rejected += 1
-    else:
-        accepted = list(cand_times)
 
     wall = time.perf_counter() - start
     points = ChangePointSet(np.asarray(accepted))
@@ -236,6 +224,8 @@ class RunConfig:
     def __post_init__(self):
         if self.method not in SEG_METHODS:
             raise ValueError(f"unknown segmentation method {self.method!r}")
+        if not self.tolerance_s >= 0:  # also rejects NaN
+            raise ValueError("tolerance_s must be >= 0")
 
 
 def build_method(name: str, cfg: RunConfig):

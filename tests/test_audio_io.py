@@ -64,6 +64,12 @@ class TestLoadWav:
         with pytest.raises(WavFormatError):
             load_wav(path)
 
+    def test_zero_sample_rate(self, tmp_path):
+        path = tmp_path / "rate0.wav"
+        path.write_bytes(wav_bytes([1, 2, 3, 4], sample_rate=0))
+        with pytest.raises(WavFormatError, match="at 0 Hz"):
+            load_wav(path)
+
     def test_truncated_chunk(self, tmp_path):
         data = wav_bytes([1, 2, 3, 4])
         path = tmp_path / "trunc.wav"

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,6 +69,32 @@ class TestExitCodes:
     def test_seed_on_segment_is_usage_error(self, synth_files):
         wav, _ = synth_files
         assert main(["segment", str(wav), "--seed", "1"]) == EXIT_USAGE
+
+    def test_zero_sample_rate_is_format_error(self, synth_files, tmp_path):
+        wav, _ = synth_files
+        data = bytearray(wav.read_bytes())
+        data[24:28] = bytes(4)  # the fmt chunk's sample rate
+        bad = tmp_path / "rate0.wav"
+        bad.write_bytes(data)
+        assert main(["segment", str(bad)]) == EXIT_FORMAT
+        assert main(["pitch", str(bad)]) == EXIT_FORMAT
+
+    def test_non_utf8_text_is_format_error(self, synth_files, tmp_path, capsys):
+        wav, _ = synth_files
+        bad = tmp_path / "bin.txt"
+        bad.write_bytes(b"\xff\xfe\x00\x81\n")
+        assert main(["evaluate", str(bad), str(bad)]) == EXIT_FORMAT
+        assert "bin.txt" in capsys.readouterr().err
+        assert main(["segment", str(wav), "--config", str(bad)]) == EXIT_FORMAT
+        assert "bin.txt" in capsys.readouterr().err
+
+    def test_negative_tolerance_is_format_error(self, synth_files, tmp_path):
+        _, ref = synth_files
+        assert main(["evaluate", str(ref), str(ref), "--tolerance", "-1"]) == EXIT_FORMAT
+        assert main(["evaluate", str(ref), str(ref), "--tolerance", "nan"]) == EXIT_FORMAT
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tolerance_s = -0.5\n")
+        assert main(["evaluate", str(ref), str(ref), "--config", str(cfg)]) == EXIT_FORMAT
 
     def test_malformed_ref_is_format_error(self, synth_files, tmp_path):
         wav, _ = synth_files
@@ -227,6 +255,34 @@ class TestConfigResolution:
         with pytest.raises(FormatError):
             parse_config_file(cfg)
 
+    def test_non_utf8_file_rejected(self, tmp_path):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"method = pitch  # \xe9\n")
+        from speakerseg.errors import FormatError
+
+        with pytest.raises(FormatError, match="latin1.cfg"):
+            parse_config_file(cfg)
+
+    def test_gamma_c_is_unknown_key(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gamma_c = 1.5\n")
+        assert main(["segment", "unread.wav", "--config", str(cfg), "--dry-run"]) == EXIT_FORMAT
+
+    def test_readme_block_is_the_defaults(self, tmp_path, capsys):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Configuration", 1)[1]
+        block = re.search(r"```ini\n(.*?)```", section, re.S).group(1)
+        cfg = tmp_path / "readme.cfg"
+        cfg.write_text(block)
+
+        class Args:
+            config = str(cfg)
+
+        assert resolve_config(Args()) == RunConfig()
+        keys = {line.split("=")[0].strip() for line in block.splitlines() if "=" in line}
+        assert main(["segment", "unread.wav", "--dry-run"]) == EXIT_OK
+        assert keys == set(json.loads(capsys.readouterr().out))
+
     def test_flags_override_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("tolerance_s = 0.9\nmethod = bic-grow\n")
@@ -326,7 +382,6 @@ KEY_CASES = [
     ("fixed_window", "150", ("seg", "bic", "fixed_window"), 150),
     ("threshold_coef", "0.6", ("seg", "threshold_coef"), 0.6),
     ("gamma", "0.4", ("seg", "gamma"), 0.4),
-    ("gamma_c", "1.5", ("seg", "gamma_c"), 1.5),
     ("verify_window_s", "0.5", ("seg", "verify_window_s"), 0.5),
     ("min_gap_s", "0.6", ("seg", "min_gap_s"), 0.6),
 ]
@@ -336,7 +391,7 @@ class TestConfigKeys:
     def test_every_leaf_has_one_key(self):
         paths = [path for path, _ in config_leaves(RunConfig())]
         keys = {key for key, *_ in KEY_CASES if key != "lam"}
-        assert len(paths) == len(keys) == 26
+        assert len(paths) == len(keys) == 25
         assert sorted(paths) == sorted({path for _, _, path, _ in KEY_CASES})
 
     def test_bad_fixed_window_is_format_error(self, tmp_path):

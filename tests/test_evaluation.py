@@ -225,6 +225,12 @@ class TestChangePointFiles:
         with pytest.raises(FormatError):
             read_change_points(path)
 
+    def test_non_utf8_rejected(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"1.0\n\xe9\n")
+        with pytest.raises(FormatError, match="latin1.txt"):
+            read_change_points(path)
+
     def test_non_monotonic_rejected(self, tmp_path):
         path = tmp_path / "cp.txt"
         path.write_text("2.0\n1.0\n")

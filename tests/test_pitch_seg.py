@@ -8,7 +8,7 @@ from speakerseg.audio_io import AudioBuffer
 from speakerseg.bic import verify_change
 from speakerseg.errors import PreconditionError
 from speakerseg.features import mfcc
-from speakerseg.pitch import PitchConfig, PitchTrack
+from speakerseg.pitch import PitchConfig, PitchTrack, pitch_track
 from speakerseg.pitch_seg import (
     PitchSegConfig,
     candidates,
@@ -44,6 +44,13 @@ def glide_buffer(f_a=150.0, f_b=156.0, fs=8000, dur=5.0, noise=0.01, seed=5):
     return AudioBuffer(np.clip(np.concatenate(pieces), -1, 1), fs)
 
 
+def raw_candidates(buffer, cfg):
+    """The candidate times segment() verifies, before any is rejected."""
+    track = pitch_track(buffer, cfg.pitch)
+    corrected = gamma_correct(pitch_diff(track), cfg.gamma)
+    return candidates(corrected, track.times, cfg.threshold_coef, cfg.min_gap_s)
+
+
 class TestPitchDiff:
     def test_basic(self):
         assert pitch_diff(track_of([100, 100, 150])).tolist() == [0.0, 50.0]
@@ -61,21 +68,21 @@ class TestPitchDiff:
 
 class TestGammaCorrect:
     def test_all_zero_stays_zero(self):
-        assert np.all(gamma_correct(np.zeros(5), 1.0, 0.3) == 0.0)
+        assert np.all(gamma_correct(np.zeros(5), 0.3) == 0.0)
 
     def test_maximum_is_fixed_point(self):
-        out = gamma_correct([1.0, 2.0, 4.0], 1.0, 0.3)
+        out = gamma_correct([1.0, 2.0, 4.0], 0.3)
         assert out[-1] == 1.0
-        out = gamma_correct([1.0, 2.0, 4.0], 1.0, 0.9)
+        out = gamma_correct([1.0, 2.0, 4.0], 0.9)
         assert out[-1] == 1.0
 
     def test_half_power_value(self):
-        out = gamma_correct([0.5, 1.0], 1.0, 0.3)
+        out = gamma_correct([0.5, 1.0], 0.3)
         assert out[0] == pytest.approx(0.8122523963562356, abs=1e-12)
 
     def test_identity_when_gamma_one(self):
         values = np.array([0.2, 0.8, 1.0, 0.0])
-        assert np.allclose(gamma_correct(values, 1.0, 1.0), values, atol=1e-12)
+        assert np.allclose(gamma_correct(values, 1.0), values, atol=1e-12)
 
     @given(
         values=st.lists(st.floats(min_value=0, max_value=100), min_size=2, max_size=30),
@@ -84,7 +91,7 @@ class TestGammaCorrect:
     @settings(max_examples=40, deadline=None)
     def test_monotone_and_lifting_below_one(self, values, gamma):
         values = np.asarray(values)
-        out = gamma_correct(values, 1.0, gamma)
+        out = gamma_correct(values, gamma)
         order = np.argsort(values, kind="stable")
         assert np.all(np.diff(out[order]) >= -1e-12)
         if values.max() > 0:
@@ -93,9 +100,9 @@ class TestGammaCorrect:
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
-            gamma_correct([1.0], 0.0, 0.3)
+            gamma_correct([1.0], 0.0)
         with pytest.raises(ValueError):
-            gamma_correct([1.0], 1.0, -1.0)
+            gamma_correct([1.0], -1.0)
 
 
 class TestCandidates:
@@ -134,8 +141,8 @@ class TestCandidates:
         rng = np.random.default_rng(10)
         diff = rng.uniform(0, 30, 200)
         times = np.arange(201) * 0.01
-        base = candidates(gamma_correct(diff, 1.0, 0.3), times, 0.7, 0.5)
-        scaled = candidates(gamma_correct(7.5 * diff, 1.0, 0.3), times, 0.7, 0.5)
+        base = candidates(gamma_correct(diff, 0.3), times, 0.7, 0.5)
+        scaled = candidates(gamma_correct(7.5 * diff, 0.3), times, 0.7, 0.5)
         assert base == scaled
 
 
@@ -180,9 +187,8 @@ class TestSegment:
     def test_unverified_is_superset(self, two_speaker_buffer):
         buffer, _ = two_speaker_buffer
         cfg = PitchSegConfig()
-        verified = segment(buffer, cfg, verify=True)
-        raw = segment(buffer, cfg, verify=False)
-        assert set(verified.change_points.times) <= set(raw.change_points.times)
+        verified = segment(buffer, cfg)
+        assert set(verified.change_points.times) <= set(raw_candidates(buffer, cfg))
 
     def test_too_short_buffer(self):
         with pytest.raises(PreconditionError):
@@ -203,7 +209,7 @@ class TestSegment:
 
         monkeypatch.setattr(pitch_seg, "verify_change", recording_verify)
         result = segment(buffer, cfg)
-        cand = segment(buffer, cfg, verify=False).change_points.times
+        cand = raw_candidates(buffer, cfg)
         whole = mfcc(buffer, cfg.mfcc)
         expected = [
             verify_change(whole, t, cfg.verify_window_s, cfg.bic.lam, cfg.bic.reg_epsilon)
