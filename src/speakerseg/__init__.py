@@ -33,7 +33,7 @@ from .evaluation import (
     write_change_points,
 )
 from .features import FeatureMatrix, MfccConfig, mfcc
-from .pitch import PitchConfig, PitchTrack, acf, amdf, cepstrum, pitch_frame, pitch_track
+from .pitch import PitchConfig, PitchTrack, pitch_frame, pitch_track
 from .pitch_seg import (
     SEG_METHODS,
     PitchSegConfig,
@@ -69,12 +69,9 @@ __all__ = [
     "SynthSpec",
     "UnsupportedWavError",
     "WavFormatError",
-    "acf",
-    "amdf",
     "benchmark",
     "build_method",
     "candidates",
-    "cepstrum",
     "delta_bic",
     "detect_fixed",
     "detect_growing",

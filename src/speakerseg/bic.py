@@ -14,12 +14,13 @@ reg_epsilon * I before taking the determinant so short windows stay
 positive definite.
 
 `_log_dets` factors all the covariances a caller needs in one batched
-Cholesky call. Scores of one split per window (`delta_bic`,
-`verify_change`, `fixed_window_scores`) take their covariances from
-`_ml_cov`, the two-pass ML covariance of a row set or of a stack of
-equal-sized sets. Batching changes no bit of these scores: each set is
-centred and multiplied out on its own, and LAPACK factors each matrix of
-a batch on its own.
+Cholesky call. Every score of one split per window comes from
+`_window_scores`, which scores one split of each window of a stack with
+two-pass ML covariances (`_ml_cov`): `delta_bic` (and through it
+`verify_change`) on a stack of one, `fixed_window_scores` on blocks of
+windows. Batching changes no bit of these scores: each set is centred
+and multiplied out on its own, and LAPACK factors each matrix of a batch
+on its own.
 
 The growing window scores every split of a window (`_best_split`, also
 reached through `_refine_split`). It centres the window at its mean and
@@ -34,6 +35,11 @@ tie within that margin could be ordered differently.
 Two sweep strategies emit multiple change points: a growing window that
 restarts at each accepted change, and a fixed-size window slid at a
 constant rate whose center-split score curve is peak-picked.
+
+Two rules here are shared with the pitch pipeline, which imports them:
+`_thin_peaks`, the greedy peak thinning of `detect_fixed` and of
+`pitch_seg.candidates`, and `_window_rows`, the rows of a verify window,
+which `verify_change` scores and `pitch_seg` computes MFCC rows for.
 """
 
 from __future__ import annotations
@@ -75,10 +81,10 @@ class BicConfig:
     fixed_window: int | None = None  # None: rows spanning one second
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
-        if self.reg_epsilon <= 0:
-            raise ValueError("reg_epsilon must be positive")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError("lam must be >= 0 and finite")
+        if not 0 < self.reg_epsilon < math.inf:
+            raise ValueError("reg_epsilon must be positive and finite")
         if self.n_g < 1 or self.n_s < 1:
             raise ValueError("n_g and n_s must be >= 1")
         if self.n_max <= self.n_ini:
@@ -171,9 +177,15 @@ def delta_bic(
         raise PreconditionError("split leaves a side with fewer than d+1 rows")
     if not np.all(np.isfinite(rows)):
         raise PreconditionError("rows must be finite")
-    covs = np.stack([_ml_cov(rows), _ml_cov(rows[:b]), _ml_cov(rows[b:])])
-    whole, left, right = _log_dets(covs, reg_epsilon)
-    return float(_split_scores(n, b, whole, left, right, penalty(d, n, lam)))
+    return float(_window_scores(rows[None], b, lam, reg_epsilon)[0])
+
+
+def _window_scores(windows: np.ndarray, b: int, lam: float, reg_epsilon: float) -> np.ndarray:
+    """Two-pass delta_bic of splitting each window of a (k, n, d) stack at row b."""
+    _, n, d = windows.shape
+    covs = np.concatenate([_ml_cov(windows), _ml_cov(windows[:, :b]), _ml_cov(windows[:, b:])])
+    whole, left, right = np.split(_log_dets(covs, reg_epsilon), 3)
+    return _split_scores(n, b, whole, left, right, penalty(d, n, lam))
 
 
 def _best_split(rows: np.ndarray, lam: float, reg_epsilon: float, min_b: int = 0):
@@ -301,13 +313,10 @@ def fixed_window_scores(features: FeatureMatrix, cfg: BicConfig | None = None):
     # (windows, window, d) view of the rows; nothing is copied here.
     windows = sliding_window_view(features.vectors, window, axis=0)[:: cfg.n_s]
     windows = np.swapaxes(windows, 1, 2)
-    pen = penalty(d, window, cfg.lam)
     scores = np.empty(len(starts))
     for lo in range(0, len(starts), _FIXED_BLOCK):
         block = windows[lo : lo + _FIXED_BLOCK]
-        covs = np.concatenate([_ml_cov(block), _ml_cov(block[:, :half]), _ml_cov(block[:, half:])])
-        whole, left, right = np.split(_log_dets(covs, cfg.reg_epsilon), 3)
-        scores[lo : lo + len(block)] = _split_scores(window, half, whole, left, right, pen)
+        scores[lo : lo + len(block)] = _window_scores(block, half, cfg.lam, cfg.reg_epsilon)
     return times, scores
 
 
@@ -327,14 +336,31 @@ def detect_fixed(features: FeatureMatrix, cfg: BicConfig | None = None) -> list[
     peak = scores > 0
     peak[1:] &= scores[1:] >= scores[:-1]
     peak[:-1] &= scores[:-1] >= scores[1:]
-    peaks = list(zip(times[peak], scores[peak]))
+    return [
+        ChangePoint(time_s=t, score=s) for t, s in _thin_peaks(times[peak], scores[peak], span_s)
+    ]
 
-    accepted: list[tuple[float, float]] = []
-    for t, s in sorted(peaks, key=lambda p: (-p[1], p[0])):
-        if all(abs(t - t0) >= span_s for t0, _ in accepted):
-            accepted.append((t, s))
-    accepted.sort()
-    return [ChangePoint(time_s=t, score=s) for t, s in accepted]
+
+def _thin_peaks(times: np.ndarray, values: np.ndarray, min_gap_s: float) -> list[tuple]:
+    """(time, value) of the peaks that greedy thinning keeps, in time order.
+
+    Peaks are visited by decreasing value, the earlier time first on
+    ties, and one is kept when it lies at least min_gap_s from every peak
+    kept before it.
+    """
+    order = np.lexsort((times, -values))
+    kept: list[tuple[float, float]] = []
+    for t, v in zip(times[order].tolist(), values[order].tolist()):
+        if all(abs(t - t0) >= min_gap_s for t0, _ in kept):
+            kept.append((t, v))
+    return sorted(kept)
+
+
+def _window_rows(times: np.ndarray, t: float, window_s: float) -> slice:
+    """The rows of increasing times that lie within window_s/2 of t."""
+    first = int(np.searchsorted(times, t - window_s / 2.0, side="left"))
+    stop = int(np.searchsorted(times, t + window_s / 2.0, side="right"))
+    return slice(first, stop)
 
 
 def verify_change(
@@ -351,16 +377,13 @@ def verify_change(
     either side verify negatively with a -inf sentinel rather than
     raising.
     """
-    if window_s <= 0:
+    if not window_s > 0:
         raise PreconditionError("window_s must be positive")
-    times = features.times
-    mask = (times >= t - window_s / 2.0) & (times <= t + window_s / 2.0)
-    idx = np.nonzero(mask)[0]
-    if len(idx) == 0:
+    span = _window_rows(features.times, t, window_s)
+    if span.start == span.stop:
         return False, -math.inf
-    rows = features.vectors[idx[0] : idx[-1] + 1]
-    local_times = times[idx[0] : idx[-1] + 1]
-    b = int(np.argmin(np.abs(local_times - t)))
+    rows = features.vectors[span]
+    b = int(np.argmin(np.abs(features.times[span] - t)))
     d = features.dim
     if b < d + 1 or len(rows) - b < d + 1:
         return False, -math.inf

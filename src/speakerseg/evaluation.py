@@ -15,7 +15,7 @@ fd = fr = 1 limit.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -57,21 +57,9 @@ class EvalReport:
     n_ref: int
     n_matched: int
     tolerance_s: float
-    wall_time_s: float | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "fd": self.fd,
-            "fr": self.fr,
-            "f": self.f,
-            "n_hyp": self.n_hyp,
-            "n_ref": self.n_ref,
-            "n_matched": self.n_matched,
-            "tolerance_s": self.tolerance_s,
-        }
-        if self.wall_time_s is not None:
-            out["wall_time_s"] = self.wall_time_s
-        return out
+        return asdict(self)
 
 
 def match_points(
@@ -136,7 +124,6 @@ def evaluate(
     reference: ChangePointSet,
     hypothesis: ChangePointSet,
     tolerance_s: float = DEFAULT_TOLERANCE_S,
-    wall_time_s: float | None = None,
 ) -> EvalReport:
     pairs = match_points(reference, hypothesis, tolerance_s)
     n_matched = len(pairs)
@@ -150,7 +137,6 @@ def evaluate(
         n_ref=len(reference),
         n_matched=n_matched,
         tolerance_s=tolerance_s,
-        wall_time_s=wall_time_s,
     )
 
 
@@ -212,9 +198,7 @@ def benchmark(
         try:
             seg_result = run(buffer)
             wall = time.perf_counter() - start
-            report = evaluate(
-                reference, seg_result.change_points, tolerance_s, wall_time_s=wall
-            )
+            report = evaluate(reference, seg_result.change_points, tolerance_s)
             result.rows.append(BenchmarkRow(method=name, report=report, wall_time_s=wall))
             wall_by_name[name] = wall
         except Exception as exc:  # noqa: BLE001 - per-row failure is data

@@ -69,6 +69,8 @@ class FeatureMatrix:
             raise ValueError("vectors must be 2-D with one time per row")
         if vectors.size and not np.all(np.isfinite(vectors)):
             raise ValueError("feature rows must be finite")
+        if len(times) > 1 and not np.all(np.diff(times) > 0):
+            raise ValueError("times must be strictly increasing")
 
     def __len__(self):
         return len(self.vectors)

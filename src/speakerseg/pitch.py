@@ -13,8 +13,8 @@ The track over a recording is computed in blocks of frames spanning
 about _BLOCK_SAMPLES samples. For each lag tau, a block forms the pair
 values |x[t] - x[t+tau]| (AMDF) or x[t] * x[t+tau] (ACF) once over the
 samples it covers and sums them in hop-sized chunks; each frame's sum is
-its whole chunks plus one partial chunk. A lone frame (pitch_frame, acf,
-amdf) is one chunk. The cepstrum transforms each frame of a block
+its whole chunks plus one partial chunk. A lone frame (pitch_frame) is
+one chunk. The cepstrum transforms each frame of a block
 separately. Working memory is a few block-sized buffers per block in
 flight and does not grow with the length of the recording; only the
 output does.
@@ -30,8 +30,9 @@ other float input the chunked sums differ from a per-frame sum by at
 most about n * eps * sum(|pair values|).
 
 The blocks are independent and each writes its own slice of the output,
-so they run on a pool of min(CPUs available to the process, blocks)
-threads; numpy releases the GIL inside the pair and sum loops. The pool
+so they always run on a pool of min(CPUs available to the process,
+blocks) threads, which may be one; numpy releases the GIL inside the
+pair and sum loops. The pool
 lives for one call (a pool made before a fork would hang in the child).
 Each block computes the same sums whatever thread runs it.
 
@@ -90,8 +91,8 @@ class PitchConfig:
             raise ValueError(f"unknown pitch method {self.method!r}")
         if not 0 < self.min_hz < self.max_hz:
             raise ValueError("need 0 < min_hz < max_hz")
-        if self.frame_len_s <= 0 or self.hop_s <= 0:
-            raise ValueError("frame_len_s and hop_s must be positive")
+        if not (0 < self.frame_len_s < np.inf and 0 < self.hop_s < np.inf):
+            raise ValueError("frame_len_s and hop_s must be positive and finite")
         if self.frame_len_s * self.min_hz <= 1.0:
             raise ValueError("frame_len_s too short to hold the longest search lag")
         if not 0.0 <= self.voicing_threshold <= 1.0:
@@ -135,35 +136,6 @@ def lag_bounds(sample_rate_hz: int, cfg: PitchConfig) -> tuple[int, int]:
     if lo > hi:
         raise PreconditionError("empty lag range; check min_hz/max_hz against the sample rate")
     return lo, hi
-
-
-def acf(frame) -> np.ndarray:
-    """Autocorrelation R(tau) for tau = 0..len(frame)-1, truncated sums."""
-    frame = _as_frame(frame)
-    return _lag_sums(frame, len(frame), 1, 1, np.arange(len(frame)), np.multiply)[0]
-
-
-def amdf(frame) -> np.ndarray:
-    """Raw magnitude-difference sum for tau = 0..len(frame)-1 (AMDF(0) = 0)."""
-    frame = _as_frame(frame)
-    return _lag_sums(frame, len(frame), 1, 1, np.arange(len(frame)), _abs_diff)[0]
-
-
-def cepstrum(frame) -> np.ndarray:
-    """Real cepstrum: inverse transform of the floored log magnitude spectrum.
-
-    Transform length is the next power of two at or above the frame
-    length; the floor keeps silent frames finite.
-    """
-    frame = _as_frame(frame)
-    return _cepstrum_rows(frame[None, :], next_pow2(len(frame)))[0]
-
-
-def _as_frame(frame) -> np.ndarray:
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.ndim != 1 or frame.size == 0:
-        raise PreconditionError("frame must be a non-empty 1-D sequence")
-    return frame
 
 
 def _frames_of(seg: np.ndarray, n: int, hop: int, m: int) -> np.ndarray:
@@ -293,7 +265,9 @@ def _pitch_block(
 def pitch_frame(frame, sample_rate_hz: int, cfg: PitchConfig | None = None) -> float:
     """Estimate the fundamental of one frame in Hz; 0.0 when unvoiced."""
     cfg = cfg or PitchConfig()
-    frame = _as_frame(frame)
+    frame = np.asarray(frame, dtype=np.float64)
+    if frame.ndim != 1 or frame.size == 0:
+        raise PreconditionError("frame must be a non-empty 1-D sequence")
     lo, hi = _frame_lags(len(frame), sample_rate_hz, cfg)
     return float(_pitch_block(frame, len(frame), 1, 1, sample_rate_hz, cfg, lo, hi)[0])
 
@@ -324,13 +298,8 @@ def pitch_track(buffer: AudioBuffer, cfg: PitchConfig | None = None) -> PitchTra
             seg, n, hop, m, buffer.sample_rate_hz, cfg, lo, hi
         )
 
-    workers = min(_available_cpus(), len(starts))
-    if workers == 1:
-        for start in starts:
-            run(start)
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(run, starts))  # re-raises a worker's exception
+    with ThreadPoolExecutor(min(_available_cpus(), len(starts))) as pool:
+        list(pool.map(run, starts))  # re-raises a worker's exception
     return PitchTrack(times=times, pitch_hz=pitch)
 
 

@@ -11,14 +11,17 @@ then removes.
 Differences touching an unvoiced frame are zeroed: a silence boundary is
 not evidence of a speaker change.
 
-MFCC rows are computed only over each candidate's verify window, on the
-whole recording's frame grid and with its frame times, so the check sees
-exactly the rows, and the bits, that an MFCC of the whole recording
-would give it.
+Candidates closer than min_gap_s are thinned by `bic._thin_peaks`, the
+rule `detect_fixed` thins its peaks by. MFCC rows are computed only over
+each candidate's verify window, on the whole recording's frame grid and
+with its frame times. The window's rows are picked by `bic._window_rows`,
+as in `verify_change`, so the check sees exactly the rows, and the bits,
+that an MFCC of the whole recording would give it.
 
 `build_method` turns a method name and the `RunConfig` tree into a
 segmenter callable, for this pipeline and for the two BIC sweeps alike;
-all three read the same MFCC and BIC settings from `cfg.seg`.
+all three read the same MFCC and BIC settings from `cfg.seg`, and build
+their `SegmentationResult` with `_result`.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio_io import AudioBuffer, _frame_signal
-from .bic import BicConfig, detect_fixed, detect_growing, verify_change
+from .bic import BicConfig, _thin_peaks, _window_rows, detect_fixed, detect_growing, verify_change
 from .errors import FormatError, PreconditionError
 from .evaluation import ChangePointSet
 from .features import FeatureMatrix, MfccConfig, mfcc
@@ -49,11 +52,12 @@ class PitchSegConfig:
     def __post_init__(self):
         if not 0.0 < self.threshold_coef <= 1.0:
             raise ValueError("threshold_coef must lie in (0, 1]")
-        if self.gamma <= 0:
+        # Written so that NaN fails each check.
+        if not self.gamma > 0:
             raise ValueError("gamma must be positive")
-        if self.verify_window_s <= 0:
+        if not self.verify_window_s > 0:
             raise ValueError("verify_window_s must be positive")
-        if self.min_gap_s < 0:
+        if not self.min_gap_s >= 0:
             raise ValueError("min_gap_s must be >= 0")
 
 
@@ -92,7 +96,7 @@ def gamma_correct(diff, gamma: float) -> np.ndarray:
     All-zero input stays all-zero. With gamma < 1 small normalized values
     are lifted while 1.0 stays fixed; a scale factor would cancel in candidates().
     """
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("gamma must be positive")
     diff = np.asarray(diff, dtype=np.float64)
     peak = diff.max(initial=0.0)
@@ -123,27 +127,13 @@ def candidates(
         raise ValueError("need one corrected value per consecutive frame pair")
     if corrected.size == 0:
         return []
-    threshold = threshold_coef * corrected.max()
-    above = corrected > threshold
-    if not above.any():
-        return []
-
-    picks = []  # (value, midpoint time) per run of consecutive indices
-    run_start = None
-    for i, flag in enumerate(np.append(above, False)):
-        if flag and run_start is None:
-            run_start = i
-        elif not flag and run_start is not None:
-            run = corrected[run_start:i]
-            j = run_start + int(np.argmax(run))
-            picks.append((corrected[j], 0.5 * (times[j] + times[j + 1])))
-            run_start = None
-
-    kept: list[tuple[float, float]] = []
-    for value, t in sorted(picks, key=lambda p: (-p[0], p[1])):
-        if all(abs(t - t0) >= min_gap_s for _, t0 in kept):
-            kept.append((value, t))
-    return sorted(t for _, t in kept)
+    above = corrected > threshold_coef * corrected.max()
+    # Each run of super-threshold entries starts at a rising edge of
+    # above and stops at a falling one.
+    edges = np.flatnonzero(np.diff(np.r_[0, above, 0])).reshape(-1, 2)
+    peaks = np.array([a + int(np.argmax(corrected[a:z])) for a, z in edges], dtype=int)
+    midpoints = 0.5 * (times[peaks] + times[peaks + 1])
+    return [t for t, _ in _thin_peaks(midpoints, corrected[peaks], min_gap_s)]
 
 
 def segment(buffer: AudioBuffer, cfg: PitchSegConfig | None = None) -> SegmentationResult:
@@ -159,7 +149,6 @@ def segment(buffer: AudioBuffer, cfg: PitchSegConfig | None = None) -> Segmentat
     cand_times = candidates(corrected, track.times, cfg.threshold_coef, cfg.min_gap_s)
 
     accepted: list[float] = []
-    rejected = 0
     if cand_times:
         _, times = _frame_signal(
             buffer.samples, buffer.sample_rate_hz, cfg.mfcc.window_len, cfg.mfcc.hop
@@ -173,15 +162,20 @@ def segment(buffer: AudioBuffer, cfg: PitchSegConfig | None = None) -> Segmentat
             )
             if ok:
                 accepted.append(t)
-            else:
-                rejected += 1
+    rejected = len(cand_times) - len(accepted)
+    return _result(accepted, buffer, len(cand_times), rejected, start)
 
+
+def _result(
+    times, buffer: AudioBuffer, examined: int, rejected: int, start: float
+) -> SegmentationResult:
+    """Result of a run that began at perf_counter() == start and found these change times."""
     wall = time.perf_counter() - start
-    points = ChangePointSet(np.asarray(accepted))
+    points = ChangePointSet(np.asarray(times, dtype=np.float64))
     return SegmentationResult(
         change_points=points,
         segments=segments_between(points, buffer.duration_s),
-        candidates_examined=len(cand_times),
+        candidates_examined=examined,
         candidates_rejected=rejected,
         wall_time_s=wall,
     )
@@ -195,13 +189,12 @@ def _verify_features(
     times are the frame times of the whole recording; the rows are
     computed from the samples their frames cover.
     """
-    first = int(np.searchsorted(times, t - window_s / 2.0, side="left"))
-    stop = int(np.searchsorted(times, t + window_s / 2.0, side="right"))
-    if first == stop:
-        return FeatureMatrix(np.empty((0, cfg.n_coeffs)), times[:0])
-    samples = buffer.samples[first * cfg.hop : (stop - 1) * cfg.hop + cfg.window_len]
+    span = _window_rows(times, t, window_s)
+    if span.start == span.stop:
+        return FeatureMatrix(np.empty((0, cfg.n_coeffs)), times[span])
+    samples = buffer.samples[span.start * cfg.hop : (span.stop - 1) * cfg.hop + cfg.window_len]
     rows = mfcc(AudioBuffer(samples, buffer.sample_rate_hz), cfg)
-    return FeatureMatrix(rows.vectors, times[first:stop])
+    return FeatureMatrix(rows.vectors, times[span])
 
 
 def segments_between(points: ChangePointSet, duration_s: float) -> list[tuple[float, float]]:
@@ -242,15 +235,7 @@ def build_method(name: str, cfg: RunConfig):
         def run(buffer: AudioBuffer) -> SegmentationResult:
             start = time.perf_counter()
             points = detect(mfcc(buffer, cfg.seg.mfcc), cfg.seg.bic)
-            wall = time.perf_counter() - start
-            cps = ChangePointSet(np.array([p.time_s for p in points]))
-            return SegmentationResult(
-                change_points=cps,
-                segments=segments_between(cps, buffer.duration_s),
-                candidates_examined=len(points),
-                candidates_rejected=0,
-                wall_time_s=wall,
-            )
+            return _result([p.time_s for p in points], buffer, len(points), 0, start)
 
         return run
     raise FormatError(f"unknown segmentation method {name!r}")

@@ -10,6 +10,7 @@ parameters give byte-identical output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,14 +39,16 @@ class SynthSpec:
     def __post_init__(self):
         if self.n_speakers < 1:
             raise ValueError("need at least one speaker")
-        if any(d <= 0 for d in self.durations()):
-            raise ValueError("durations must be positive")
-        if self.noise_level < 0:
-            raise ValueError("noise_level must be >= 0")
+        if not all(0 < d < math.inf for d in self.durations()):
+            raise ValueError("durations must be positive and finite")
+        if not 0 <= self.noise_level < math.inf:
+            raise ValueError("noise_level must be >= 0 and finite")
         if self.sample_rate_hz <= 0:
             raise ValueError("sample_rate_hz must be positive")
         if self.f0_hz is not None and len(self.f0_hz) == 0:
             raise ValueError("f0_hz must be empty only when omitted")
+        if not all(math.isfinite(f) for f in self.fundamentals()):
+            raise ValueError("f0_hz must be finite")
 
     def fundamentals(self) -> list[float]:
         source = self.f0_hz if self.f0_hz is not None else DEFAULT_F0_LADDER

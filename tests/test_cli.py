@@ -96,6 +96,37 @@ class TestExitCodes:
         cfg.write_text("tolerance_s = -0.5\n")
         assert main(["evaluate", str(ref), str(ref), "--config", str(cfg)]) == EXIT_FORMAT
 
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            "gamma = nan",
+            "verify_window_s = nan",
+            "lambda = nan",
+            "lambda = inf",
+            "reg_epsilon = nan",
+            "reg_epsilon = inf",
+            "min_gap_s = nan",
+            "pitch_frame_s = nan",
+            "pitch_frame_s = inf",
+            "pitch_hop_s = nan",
+            "pitch_hop_s = inf",
+            "--seconds nan",
+            "--seconds inf",
+            "--f0 nan",
+            "--noise nan",
+        ],
+    )
+    def test_non_finite_value_is_format_error(self, setting, synth_files, tmp_path):
+        wav, _ = synth_files
+        if setting.startswith("--"):
+            flag, value = setting.split()
+            argv = ["synth", "--out", str(tmp_path / "s.wav"), "--ref-out", str(tmp_path / "s.txt")]
+            assert main([*argv, flag, value]) == EXIT_FORMAT
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(setting + "\n")
+            assert main(["segment", str(wav), "--config", str(cfg)]) == EXIT_FORMAT
+
     def test_malformed_ref_is_format_error(self, synth_files, tmp_path):
         wav, _ = synth_files
         bad = tmp_path / "bad.txt"

@@ -118,6 +118,11 @@ class TestFeatureMatrix:
         with pytest.raises(ValueError):
             FeatureMatrix(np.array([[np.nan, 1.0]]), np.array([0.0]))
 
+    def test_rejects_times_out_of_order(self):
+        # verify_change picks its window's rows by bisecting the times
+        with pytest.raises(ValueError):
+            FeatureMatrix(np.zeros((3, 2)), np.array([0.0, 0.02, 0.01]))
+
     def test_tsv_export(self, tmp_path):
         out = mfcc(buffer_from(np.zeros(1000)), MfccConfig())
         path = tmp_path / "f.tsv"

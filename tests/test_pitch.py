@@ -17,9 +17,6 @@ from speakerseg.pitch import (
     CEPSTRAL,
     METHODS,
     PitchConfig,
-    acf,
-    amdf,
-    cepstrum,
     lag_bounds,
     next_pow2,
     pitch_frame,
@@ -38,6 +35,25 @@ def brute_acf(frame):
 def brute_amdf(frame):
     n = len(frame)
     return [sum(abs(frame[i] - frame[i + tau]) for i in range(n - tau)) for tau in range(n)]
+
+
+# The one-frame case of each detector's kernel: m = 1 frame of n samples.
+def acf(frame):
+    """Autocorrelation R(tau) for tau = 0..len(frame)-1, truncated sums."""
+    frame = np.asarray(frame, dtype=np.float64)
+    return pitch._lag_sums(frame, len(frame), 1, 1, np.arange(len(frame)), np.multiply)[0]
+
+
+def amdf(frame):
+    """Raw magnitude-difference sum for tau = 0..len(frame)-1."""
+    frame = np.asarray(frame, dtype=np.float64)
+    return pitch._lag_sums(frame, len(frame), 1, 1, np.arange(len(frame)), pitch._abs_diff)[0]
+
+
+def cepstrum(frame):
+    """Real cepstrum of one frame, transformed at the next power of two."""
+    frame = np.asarray(frame, dtype=np.float64)
+    return pitch._cepstrum_rows(frame[None, :], next_pow2(len(frame)))[0]
 
 
 class TestAcf:
@@ -71,7 +87,7 @@ class TestAcf:
 
     def test_empty_frame_rejected(self):
         with pytest.raises(PreconditionError):
-            acf([])
+            pitch_frame([], 8000, PitchConfig(method=ACF))
 
 
 def per_frame_lag_sums(seg, n, hop, m, lags, pair):
@@ -272,11 +288,12 @@ class TestPitchTrack:
         assert np.all(np.abs(pure_early - 8000 / round(8000 / 120)) < 3.0)
         assert np.all(np.abs(pure_late - 8000 / round(8000 / 240)) < 4.0)
 
+    # The next two tests round their input to 16-bit PCM as load_wav
+    # returns it, so the track's chunked sums equal the per-frame sums
+    # exactly; float input is covered by test_float_frames_within_summation_bound.
     def test_matches_per_frame_results(self):
         rng = np.random.default_rng(5)
-        samples = np.clip(
-            sine(140, 8000, 16000, amplitude=0.3) + rng.normal(0, 0.02, 16000), -1, 1
-        )
+        samples = pcm16(sine(140, 8000, 16000, amplitude=0.3) + rng.normal(0, 0.02, 16000))
         buf = buffer_from(samples)
         for method in METHODS:
             cfg = PitchConfig(method=method)
@@ -302,7 +319,7 @@ class TestPitchTrack:
             assert lag_bounds(fs, cfg)[1] + 1 == n
         rng = np.random.default_rng(fs + n)
         tones = np.concatenate([harmonic_tone(130, fs, fs // 4), harmonic_tone(200, fs, fs // 4)])
-        samples = tones + rng.normal(0, 0.01, len(tones))
+        samples = pcm16(tones + rng.normal(0, 0.01, len(tones)))
         monkeypatch.setattr(pitch, "_BLOCK_SAMPLES", 7 * hop + 3)
         track = pitch_track(buffer_from(samples, fs), cfg)
         assert len(track) >= 3 * 7

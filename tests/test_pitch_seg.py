@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from speakerseg import pitch_seg
@@ -105,7 +105,46 @@ class TestGammaCorrect:
             gamma_correct([1.0], -1.0)
 
 
+def reference_candidates(corrected, times, threshold_coef, min_gap_s):
+    """candidates() written out in plain Python: a loop over every entry
+    finds the runs, and the thinning compares each pick with every kept one."""
+    threshold = threshold_coef * max(corrected)
+    picks = []  # (value, midpoint time) per run
+    run_start = None
+    for i, flag in enumerate([c > threshold for c in corrected] + [False]):
+        if flag and run_start is None:
+            run_start = i
+        elif not flag and run_start is not None:
+            run = corrected[run_start:i]
+            j = run_start + run.index(max(run))
+            picks.append((corrected[j], 0.5 * (times[j] + times[j + 1])))
+            run_start = None
+    kept = []
+    for value, t in sorted(picks, key=lambda p: (-p[0], p[1])):
+        if all(abs(t - t0) >= min_gap_s for _, t0 in kept):
+            kept.append((value, t))
+    return sorted(t for _, t in kept)
+
+
 class TestCandidates:
+    # Values come from a few levels, so runs and picks tie; frame steps
+    # and gaps are multiples of 1/8 s, so midpoints and their distances
+    # are exact and picks sit exactly min_gap_s apart.
+    @given(
+        corrected=st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), min_size=1, max_size=40),
+        steps=st.lists(st.sampled_from([0.125, 0.25]), min_size=41, max_size=41),
+        threshold_coef=st.sampled_from([0.25, 0.5, 0.7, 1.0]),
+        min_gap_s=st.sampled_from([0.0, 0.125, 0.25, 0.5]),
+    )
+    # Runs at the first and the last index, and picks exactly min_gap_s apart.
+    @example([1.0, 0.0, 0.75, 0.0, 1.0], [0.125] * 41, 0.5, 0.5)
+    @example([1.0, 1.0, 0.0, 1.0, 1.0], [0.125] * 41, 0.7, 0.375)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_plain_python_reference(self, corrected, steps, threshold_coef, min_gap_s):
+        times = np.cumsum([0.0] + steps[: len(corrected)])
+        got = candidates(corrected, times, threshold_coef, min_gap_s)
+        assert got == reference_candidates(corrected, times.tolist(), threshold_coef, min_gap_s)
+
     def test_constant_sequence_empty_at_max_threshold(self):
         # threshold equals the maximum, and the comparison is strict
         times = np.arange(6) * 0.01
