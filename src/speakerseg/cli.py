@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .audio_io import load_wav
 from .errors import FormatError, PreconditionError
-from .evaluation import benchmark, evaluate, read_change_points, write_change_points
+from .evaluation import _change_point_lines, benchmark, evaluate, read_change_points
 from .features import mfcc, write_features_tsv
 from .pitch import pitch_track, write_track_tsv
 from .pitch_seg import SEG_METHODS, RunConfig, build_method
@@ -161,14 +161,16 @@ def cmd_features(args, cfg: RunConfig) -> int:
 
 
 def cmd_segment(args, cfg: RunConfig) -> int:
+    if args.json == "-" and args.out == "-":
+        print("error: --out - and --json - cannot both write to stdout", file=sys.stderr)
+        return EXIT_USAGE
     buffer = load_wav(args.audio)
     run = build_method(cfg.method, cfg)
     result = run(buffer)
-    if args.out:
-        write_change_points(result.change_points, args.out)
-    else:
-        for t in result.change_points.times:
-            print(f"{t:.3f}")
+    # JSON on stdout is all that goes there; it holds the change points.
+    if args.out is not None or args.json != "-":
+        with _output(args.out) as fp:
+            fp.write(_change_point_lines(result.change_points))
     if args.json:
         payload = {"method": cfg.method, "audio": str(args.audio), **result.to_dict()}
         with _output(args.json) as fp:
@@ -281,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("segment", parents=[common], help="detect speaker changes")
     p.add_argument("audio")
     p.add_argument("--method", choices=SEG_METHODS, help="segmentation method")
-    p.add_argument("--out", help="change-point file (default: print to stdout)")
+    p.add_argument("--out", help="change-point file (default stdout, unless --json is '-')")
     p.add_argument("--json", help="write the full result as JSON ('-' for stdout)")
     p.set_defaults(func=cmd_segment)
 

@@ -232,7 +232,11 @@ def read_change_points(path) -> ChangePointSet:
         raise FormatError(f"{path}: {exc}") from exc
 
 
+def _change_point_lines(points: ChangePointSet) -> str:
+    """The change-point file format: one timestamp per line, three decimals."""
+    return "".join(f"{t:.3f}\n" for t in points.times)
+
+
 def write_change_points(points: ChangePointSet, path) -> None:
     """Newline-terminated timestamps with three decimal places."""
-    lines = "".join(f"{t:.3f}\n" for t in points.times)
-    Path(path).write_text(lines, encoding="utf-8")
+    Path(path).write_text(_change_point_lines(points), encoding="utf-8")

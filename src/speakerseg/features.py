@@ -4,6 +4,9 @@ Pipeline per frame: Hamming window, magnitude spectrum (FFT size = next
 power of two at or above the window), triangular mel filter bank spanning
 0 Hz to fs/2, floored log energies, orthonormal type-II DCT. Deterministic
 for identical input and config.
+
+The window, the filter bank and the DCT are cached read-only tables. The
+filter bank and the DCT are matrix products, both through `_product`.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dct
+import numpy.fft  # load it now; numpy would load it lazily, in the first transform
 
 from .audio_io import AudioBuffer, _frame_signal
 from .errors import PreconditionError
@@ -24,11 +27,12 @@ LOG_FLOOR = 1e-10
 # memory.
 _BLOCK_ROWS = 512
 
-# OpenBLAS computes a matrix product of 46 rows or fewer with another
-# kernel, whose last bits differ, so the mel product of a shorter block (a
-# short recording, or the last block of a long one) is zero-padded to this
-# many rows. A row's energies then do not depend on the length of the
-# recording or on where a block starts.
+# OpenBLAS computes a matrix product with other kernels, whose last bits
+# differ, for some row counts: all counts of 46 or fewer, and for the DCT
+# shape many larger ones such as 65-67. So every product is computed on a
+# row count that is a multiple of this, zero-padding the rows of a block
+# that is not (a short recording, or the last block of a long one).
+# _BLOCK_ROWS must stay a multiple of it.
 _MIN_PRODUCT_ROWS = 64
 
 
@@ -120,14 +124,29 @@ def _hamming(n: int) -> np.ndarray:
     return window
 
 
-def _mel_product(magnitude: np.ndarray, bank_t: np.ndarray) -> np.ndarray:
-    """magnitude @ bank_t, with at least _MIN_PRODUCT_ROWS rows in the product."""
-    k = len(magnitude)
-    if k >= _MIN_PRODUCT_ROWS:
-        return magnitude @ bank_t
-    padded = np.zeros((_MIN_PRODUCT_ROWS, magnitude.shape[1]))
-    padded[:k] = magnitude
-    return (padded @ bank_t)[:k]
+@lru_cache(maxsize=16)
+def _dct_matrix(n: int) -> np.ndarray:
+    """Read-only orthonormal type-II DCT of rows of n values, cached per n.
+
+    Column k is basis vector k, so x @ _dct_matrix(len(x)) is the DCT of x.
+    """
+    j = np.arange(n)[:, None]
+    k = np.arange(n)[None, :]
+    m = np.sqrt(2.0 / n) * np.cos(np.pi * k * (2 * j + 1) / (2 * n))
+    m[:, 0] /= np.sqrt(2.0)
+    m.setflags(write=False)
+    return m
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, computed on a multiple of _MIN_PRODUCT_ROWS rows."""
+    k = len(a)
+    rows = -(-k // _MIN_PRODUCT_ROWS) * _MIN_PRODUCT_ROWS
+    if rows == k:
+        return a @ b
+    padded = np.zeros((rows, a.shape[1]))
+    padded[:k] = a
+    return (padded @ b)[:k]
 
 
 def mfcc(buffer: AudioBuffer, cfg: MfccConfig | None = None) -> FeatureMatrix:
@@ -141,13 +160,14 @@ def mfcc(buffer: AudioBuffer, cfg: MfccConfig | None = None) -> FeatureMatrix:
     nfft = next_pow2(cfg.window_len)
     window = _hamming(cfg.window_len)
     bank_t = mel_filterbank(cfg.n_mel_filters, nfft, buffer.sample_rate_hz).T
+    dct = _dct_matrix(cfg.n_mel_filters)
     first = 0 if cfg.include_c0 else 1
     vectors = np.empty((len(rows), cfg.n_coeffs))
     for start in range(0, len(rows), _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
         magnitude = np.abs(np.fft.rfft(rows[block] * window, nfft, axis=1))
-        log_energies = np.log(_mel_product(magnitude, bank_t) + LOG_FLOOR)
-        coeffs = dct(log_energies, type=2, norm="ortho", axis=1)
+        log_energies = np.log(_product(magnitude, bank_t) + LOG_FLOOR)
+        coeffs = _product(log_energies, dct)
         vectors[block] = coeffs[:, first : first + cfg.n_coeffs]
     return FeatureMatrix(vectors=vectors, times=times)
 

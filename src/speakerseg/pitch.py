@@ -49,6 +49,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.fft  # load it now; numpy would load it lazily, in the first transform
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import AudioBuffer, _frame_signal, plan_from_seconds

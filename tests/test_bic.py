@@ -301,16 +301,25 @@ class TestGoldenScores:
     def test_detect_growing(self, tmp_path):
         spec = SynthSpec(n_speakers=6, duration_s=5.0, noise_level=0.01, seed=42)
         points = detect_growing(synth_features(tmp_path, spec), BicConfig())
-        # Scores from the prefix-sum kernel of _best_split.
+        # Scores from the prefix-sum kernel of _best_split, on MFCC rows whose
+        # DCT is a product with features._dct_matrix.
         assert [(p.time_s, p.score.hex()) for p in points] == [
-            (4.99, "0x1.caaee825eca2ap+8"),
-            (9.99, "0x1.34f338cf58f02p+8"),
-            (14.99, "0x1.202b0e644aff7p+9"),
-            (19.990000000000002, "0x1.435ee0f3720edp+9"),
-            (25.0, "0x1.ce0b6d3a7b21ap+8"),
+            (4.99, "0x1.caaee825ec222p+8"),
+            (9.99, "0x1.34f338cf592cap+8"),
+            (14.99, "0x1.202b0e644b1ffp+9"),
+            (19.990000000000002, "0x1.435ee0f371c0bp+9"),
+            (25.0, "0x1.ce0b6d3a7b25ap+8"),
         ]
-        # The same points as the two-pass kernel (one _ml_cov per side of
-        # every split) scored them.
+        # The same points as the prefix-sum kernel scored them on MFCC rows
+        # from scipy.fft.dct, and as the two-pass kernel (one _ml_cov per
+        # side of every split) scored them on those rows.
+        scipy_dct = [
+            "0x1.caaee825eca2ap+8",
+            "0x1.34f338cf58f02p+8",
+            "0x1.202b0e644aff7p+9",
+            "0x1.435ee0f3720edp+9",
+            "0x1.ce0b6d3a7b21ap+8",
+        ]
         two_pass = [
             "0x1.caaee825ec75ap+8",
             "0x1.34f338cf58fcep+8",
@@ -318,19 +327,30 @@ class TestGoldenScores:
             "0x1.435ee0f37229dp+9",
             "0x1.ce0b6d3a7a7e2p+8",
         ]
-        for p, want in zip(points, two_pass):
-            assert p.score == pytest.approx(float.fromhex(want), rel=1e-9, abs=0)
+        for want in (scipy_dct, two_pass):
+            for p, score in zip(points, want, strict=True):
+                assert p.score == pytest.approx(float.fromhex(score), rel=1e-9, abs=0)
 
     def test_detect_fixed(self, tmp_path):
         spec = SynthSpec(n_speakers=6, duration_s=10.0, noise_level=0.02, seed=42)
         points = detect_fixed(synth_features(tmp_path, spec), BicConfig())
         assert [(p.time_s, float(p.score).hex()) for p in points] == [
-            (10.0, "0x1.5441ac303e296p+8"),
+            (10.0, "0x1.5441ac303e27ep+8"),
             (20.0, "0x1.c87423ab1076cp+7"),
-            (30.0, "0x1.7feacf6f6753ap+8"),
-            (40.0, "0x1.f29c73d39682ap+8"),
-            (50.0, "0x1.917cb56becf56p+8"),
+            (30.0, "0x1.7feacf6f67506p+8"),
+            (40.0, "0x1.f29c73d39684ap+8"),
+            (50.0, "0x1.917cb56becf2ap+8"),
         ]
+        # The same points as scored on MFCC rows from scipy.fft.dct.
+        scipy_dct = [
+            "0x1.5441ac303e296p+8",
+            "0x1.c87423ab1076cp+7",
+            "0x1.7feacf6f6753ap+8",
+            "0x1.f29c73d39682ap+8",
+            "0x1.917cb56becf56p+8",
+        ]
+        for p, score in zip(points, scipy_dct, strict=True):
+            assert p.score == pytest.approx(float.fromhex(score), rel=1e-9, abs=0)
 
 
 class TestBatchedKernel:

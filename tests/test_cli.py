@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +47,21 @@ def synth_files(tmp_path_factory):
     )
     assert code == EXIT_OK
     return wav, ref
+
+
+def test_import_loads_no_scipy():
+    # numpy.fft is loaded at import, so its first use inside a segment
+    # call does not load it.
+    code = (
+        "import sys, speakerseg.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+        "print('numpy.fft' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+    ).stdout
+    assert out.splitlines() == ["[]", "True"]
 
 
 class TestExitCodes:
@@ -180,6 +198,31 @@ class TestSegmentCommand:
         assert main(["segment", str(wav), "--method", "pitch"]) == EXIT_OK
         out = capsys.readouterr().out
         assert abs(float(out.strip()) - 5.0) <= 0.3
+
+    def test_out_dash_is_stdout(self, synth_files, tmp_path, monkeypatch, capsys):
+        wav, _ = synth_files
+        monkeypatch.chdir(tmp_path)
+        assert main(["segment", str(wav), "--method", "pitch", "--out", "-"]) == EXIT_OK
+        assert abs(float(capsys.readouterr().out.strip()) - 5.0) <= 0.3
+        assert not (tmp_path / "-").exists()
+
+    def test_json_on_stdout_is_only_json(self, synth_files, capsys):
+        wav, _ = synth_files
+        assert main(["segment", str(wav), "--method", "pitch", "--json", "-"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert len(payload["change_points_s"]) == 1
+        assert abs(payload["change_points_s"][0] - 5.0) <= 0.3
+
+    def test_out_and_json_both_on_stdout_is_usage_error(
+        self, synth_files, tmp_path, monkeypatch, capsys
+    ):
+        wav, _ = synth_files
+        monkeypatch.chdir(tmp_path)
+        assert main(["segment", str(wav), "--out", "-", "--json", "-"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "stdout" in captured.err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestEvaluateCommand:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -70,12 +72,15 @@ class TestValues:
         rng = np.random.default_rng(12)
         n = 80 * (3 * block) + 120
         samples = 0.3 * sine(210, 8000, n) + rng.normal(0, 0.05, n)
-        whole = mfcc(buffer_from(samples), MfccConfig()).vectors
-        assert len(whole) == 3 * block
-        for rows in (1, 41, 46, block - 3, block + 6, 2 * block + 500):
-            prefix = mfcc(buffer_from(samples[: 80 * rows + 120]), MfccConfig()).vectors
-            assert len(prefix) == rows
-            assert np.array_equal(prefix, whole[:rows])
+        # All 26 coefficients too: some row counts change the last bits of
+        # only the last DCT columns.
+        for cfg in (MfccConfig(), MfccConfig(n_coeffs=26)):
+            whole = mfcc(buffer_from(samples), cfg).vectors
+            assert len(whole) == 3 * block
+            for rows in (1, 41, 46, 65, 67, 130, block - 3, block + 6, 2 * block + 500):
+                prefix = mfcc(buffer_from(samples[: 80 * rows + 120]), cfg).vectors
+                assert len(prefix) == rows
+                assert np.array_equal(prefix, whole[:rows]), (cfg.n_coeffs, rows)
 
     def test_no_nan_for_noise(self):
         rng = np.random.default_rng(2)
@@ -108,9 +113,41 @@ class TestFilterbank:
         window = features._hamming(200)
         assert features._hamming(200) is window
         assert np.array_equal(window, np.hamming(200))
-        for table in (bank, window, bank.T):
+        dct = features._dct_matrix(26)
+        assert features._dct_matrix(26) is dct
+        for table in (bank, window, bank.T, dct):
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 1.0
+
+
+class TestDct:
+    @pytest.mark.parametrize("n", [2, 13, 26, 40])
+    def test_matches_formula(self, n):
+        def coefficient(j, k):
+            scale = math.sqrt((1.0 if k == 0 else 2.0) / n)
+            return scale * math.cos(math.pi * k * (2 * j + 1) / (2 * n))
+
+        m = features._dct_matrix(n)
+        want = np.array([[coefficient(j, k) for k in range(n)] for j in range(n)])
+        assert np.max(np.abs(m - want)) <= 1e-15
+        assert np.max(np.abs(m.T @ m - np.eye(n))) <= 1e-14
+
+
+class TestProduct:
+    @pytest.mark.parametrize("shape", ["mel", "dct"])
+    def test_rows_match_one_large_product(self, shape):
+        # Each row of a product must not depend on how many rows it was
+        # computed with, whichever kernel the BLAS library picks for them.
+        if shape == "mel":
+            b = mel_filterbank(26, 256, 8000).T
+        else:
+            b = features._dct_matrix(26)
+        a = np.random.default_rng(4).uniform(0.0, 3.0, (1024, b.shape[0]))
+        whole = a @ b
+        for offset in (0, 7, 100, 424):
+            for k in range(1, 601):
+                rows = features._product(a[offset : offset + k], b)
+                assert np.array_equal(rows, whole[offset : offset + k]), (offset, k)
 
 
 class TestFeatureMatrix:
