@@ -70,7 +70,7 @@ def match_points(
     Ties in distance break toward the earlier reference, then earlier
     hypothesis time. Returns (reference index, hypothesis index) pairs.
     """
-    if tolerance_s < 0:
+    if not tolerance_s >= 0:  # also rejects NaN
         raise ValueError("tolerance_s must be >= 0")
     ref, hyp = reference.times, hypothesis.times
     candidates = [

@@ -6,7 +6,10 @@ power of two at or above the window), triangular mel filter bank spanning
 for identical input and config.
 
 The window, the filter bank and the DCT are cached read-only tables. The
-filter bank and the DCT are matrix products, both through `_product`.
+filter bank and the DCT are matrix products, both through `_product`, so
+a row's bits depend neither on its block nor on the range of the frame
+grid that `mfcc(..., rows)` computes. The pitch pipeline's verify step
+computes only each candidate's window of rows this way.
 """
 
 from __future__ import annotations
@@ -149,23 +152,31 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (padded @ b)[:k]
 
 
-def mfcc(buffer: AudioBuffer, cfg: MfccConfig | None = None) -> FeatureMatrix:
-    """Extract one coefficient row per complete analysis window."""
+def mfcc(
+    buffer: AudioBuffer, cfg: MfccConfig | None = None, rows: slice = slice(None)
+) -> FeatureMatrix:
+    """Extract one coefficient row per complete analysis window.
+
+    rows selects a range of the recording's frame grid, by default all of
+    it; the result carries those frames' times, and each row has the same
+    bits whatever range computes it.
+    """
     cfg = cfg or MfccConfig()
     if len(buffer.samples) < cfg.window_len:
         raise PreconditionError("audio shorter than one analysis window")
-    rows, times = _frame_signal(
+    frames, times = _frame_signal(
         buffer.samples, buffer.sample_rate_hz, cfg.window_len, cfg.hop
     )
+    frames, times = frames[rows], times[rows]
     nfft = next_pow2(cfg.window_len)
     window = _hamming(cfg.window_len)
     bank_t = mel_filterbank(cfg.n_mel_filters, nfft, buffer.sample_rate_hz).T
     dct = _dct_matrix(cfg.n_mel_filters)
     first = 0 if cfg.include_c0 else 1
-    vectors = np.empty((len(rows), cfg.n_coeffs))
-    for start in range(0, len(rows), _BLOCK_ROWS):
+    vectors = np.empty((len(frames), cfg.n_coeffs))
+    for start in range(0, len(frames), _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
-        magnitude = np.abs(np.fft.rfft(rows[block] * window, nfft, axis=1))
+        magnitude = np.abs(np.fft.rfft(frames[block] * window, nfft, axis=1))
         log_energies = np.log(_product(magnitude, bank_t) + LOG_FLOOR)
         coeffs = _product(log_energies, dct)
         vectors[block] = coeffs[:, first : first + cfg.n_coeffs]

@@ -14,10 +14,10 @@ about _BLOCK_SAMPLES samples. For each lag tau, a block forms the pair
 values |x[t] - x[t+tau]| (AMDF) or x[t] * x[t+tau] (ACF) once over the
 samples it covers and sums them in hop-sized chunks; each frame's sum is
 its whole chunks plus one partial chunk. A lone frame (pitch_frame) is
-one chunk. The cepstrum transforms each frame of a block
-separately. Working memory is a few block-sized buffers per block in
-flight and does not grow with the length of the recording; only the
-output does.
+one chunk. The cepstrum transforms each frame of a block separately,
+framed by `_frame_signal` as the track and the MFCC rows are. Working
+memory is a few block-sized buffers per block in flight and does not
+grow with the length of the recording; only the output does.
 
 Exactness. On anything load_wav returns (16-bit PCM, mono or stereo)
 every sample is a multiple of 2**-16 in [-1, 1]. Every AMDF pair value
@@ -50,7 +50,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import numpy.fft  # load it now; numpy would load it lazily, in the first transform
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import AudioBuffer, _frame_signal, plan_from_seconds
 from .errors import PreconditionError
@@ -137,11 +136,6 @@ def lag_bounds(sample_rate_hz: int, cfg: PitchConfig) -> tuple[int, int]:
     if lo > hi:
         raise PreconditionError("empty lag range; check min_hz/max_hz against the sample rate")
     return lo, hi
-
-
-def _frames_of(seg: np.ndarray, n: int, hop: int, m: int) -> np.ndarray:
-    """Read-only (m, n) view of the frames of n samples, hop apart, in seg."""
-    return sliding_window_view(seg, n)[::hop][:m]
 
 
 def _abs_diff(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -258,7 +252,7 @@ def _pitch_block(
             padded = np.pad(padded, ((0, 0), (0, 1)), constant_values=np.inf)
         idx, voiced = _select_amdf(padded, cfg.voicing_threshold)
     else:
-        ceps = _cepstrum_rows(_frames_of(seg, n, hop, m), next_pow2(n))
+        ceps = _cepstrum_rows(_frame_signal(seg, sample_rate_hz, n, hop)[0], next_pow2(n))
         idx, voiced = _select_cepstral(ceps[:, lo : hi + 1], cfg.voicing_threshold)
     return np.where(voiced, sample_rate_hz / (lo + idx), 0.0)
 
@@ -269,6 +263,8 @@ def pitch_frame(frame, sample_rate_hz: int, cfg: PitchConfig | None = None) -> f
     frame = np.asarray(frame, dtype=np.float64)
     if frame.ndim != 1 or frame.size == 0:
         raise PreconditionError("frame must be a non-empty 1-D sequence")
+    if not np.all(np.isfinite(frame)):
+        raise PreconditionError("frame samples must be finite")
     lo, hi = _frame_lags(len(frame), sample_rate_hz, cfg)
     return float(_pitch_block(frame, len(frame), 1, 1, sample_rate_hz, cfg, lo, hi)[0])
 

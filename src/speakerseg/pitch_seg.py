@@ -13,10 +13,11 @@ not evidence of a speaker change.
 
 Candidates closer than min_gap_s are thinned by `bic._thin_peaks`, the
 rule `detect_fixed` thins its peaks by. MFCC rows are computed only over
-each candidate's verify window, on the whole recording's frame grid and
-with its frame times. The window's rows are picked by `bic._window_rows`,
-as in `verify_change`, so the check sees exactly the rows, and the bits,
-that an MFCC of the whole recording would give it.
+each candidate's verify window: `bic._window_rows` picks the window's
+rows of the whole recording's frame grid, as in `verify_change`, and
+`mfcc(..., rows)` computes just those, so the check sees exactly the
+rows, bits and frame times that an MFCC of the whole recording would
+give it.
 
 `build_method` turns a method name and the `RunConfig` tree into a
 segmenter callable, for this pipeline and for the two BIC sweeps alike;
@@ -35,7 +36,7 @@ from .audio_io import AudioBuffer, _frame_signal
 from .bic import BicConfig, _thin_peaks, _window_rows, detect_fixed, detect_growing, verify_change
 from .errors import FormatError, PreconditionError
 from .evaluation import ChangePointSet
-from .features import FeatureMatrix, MfccConfig, mfcc
+from .features import MfccConfig, mfcc
 from .pitch import PitchConfig, PitchTrack, pitch_track
 
 
@@ -143,25 +144,20 @@ def segment(buffer: AudioBuffer, cfg: PitchSegConfig | None = None) -> Segmentat
         raise PreconditionError("audio shorter than the verification window")
     start = time.perf_counter()
     track = pitch_track(buffer, cfg.pitch)
-    if len(track) < 2:
-        raise PreconditionError("audio too short for a pitch difference")
     corrected = gamma_correct(pitch_diff(track), cfg.gamma)
     cand_times = candidates(corrected, track.times, cfg.threshold_coef, cfg.min_gap_s)
 
+    _, times = _frame_signal(
+        buffer.samples, buffer.sample_rate_hz, cfg.mfcc.window_len, cfg.mfcc.hop
+    )
     accepted: list[float] = []
-    if cand_times:
-        _, times = _frame_signal(
-            buffer.samples, buffer.sample_rate_hz, cfg.mfcc.window_len, cfg.mfcc.hop
+    for t in cand_times:
+        features = mfcc(buffer, cfg.mfcc, _window_rows(times, t, cfg.verify_window_s))
+        ok, _score = verify_change(
+            features, t, cfg.verify_window_s, cfg.bic.lam, cfg.bic.reg_epsilon
         )
-        if len(times) == 0:
-            raise PreconditionError("audio shorter than one analysis window")
-        for t in cand_times:
-            features = _verify_features(buffer, cfg.mfcc, times, t, cfg.verify_window_s)
-            ok, _score = verify_change(
-                features, t, cfg.verify_window_s, cfg.bic.lam, cfg.bic.reg_epsilon
-            )
-            if ok:
-                accepted.append(t)
+        if ok:
+            accepted.append(t)
     rejected = len(cand_times) - len(accepted)
     return _result(accepted, buffer, len(cand_times), rejected, start)
 
@@ -179,22 +175,6 @@ def _result(
         candidates_rejected=rejected,
         wall_time_s=wall,
     )
-
-
-def _verify_features(
-    buffer: AudioBuffer, cfg: MfccConfig, times: np.ndarray, t: float, window_s: float
-) -> FeatureMatrix:
-    """The rows of mfcc(buffer, cfg) whose frame times lie within window_s/2 of t.
-
-    times are the frame times of the whole recording; the rows are
-    computed from the samples their frames cover.
-    """
-    span = _window_rows(times, t, window_s)
-    if span.start == span.stop:
-        return FeatureMatrix(np.empty((0, cfg.n_coeffs)), times[span])
-    samples = buffer.samples[span.start * cfg.hop : (span.stop - 1) * cfg.hop + cfg.window_len]
-    rows = mfcc(AudioBuffer(samples, buffer.sample_rate_hz), cfg)
-    return FeatureMatrix(rows.vectors, times[span])
 
 
 def segments_between(points: ChangePointSet, duration_s: float) -> list[tuple[float, float]]:

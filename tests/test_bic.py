@@ -59,6 +59,13 @@ def two_cluster_features(n_per_side=500, d=13, gap=5.0, seed=42, hop_s=0.01):
     return FeatureMatrix(rows, times)
 
 
+def level_features(levels, hop_s=0.01):
+    """One-dimensional rows: +1, -1, +1, ... added to the given levels, one per row."""
+    levels = np.asarray(levels, dtype=np.float64)
+    rows = levels + np.where(np.arange(len(levels)) % 2, -1.0, 1.0)
+    return FeatureMatrix(rows[:, None], np.arange(len(rows)) * hop_s)
+
+
 def stationary_features(n=1000, d=13, seed=9, hop_s=0.01):
     rng = np.random.default_rng(seed)
     return FeatureMatrix(rng.normal(0.0, 1.0, (n, d)), np.arange(n) * hop_s)
@@ -210,6 +217,26 @@ class TestDetectGrowing:
     def test_n_ini_guard(self):
         with pytest.raises(PreconditionError):
             detect_growing(stationary_features(n=200), BicConfig(n_ini=20, n_max=100))
+
+    def test_unsplittable_refinement_keeps_coarse_point(self):
+        # A shift too small for the 20-row refinement window to score
+        # positive, which the 600-row window still detects.
+        features = level_features([0.0] * 300 + [0.4] * 300)
+        cfg = BicConfig(n_ini=20, n_g=20, n_max=600, n_s=20)
+        assert _best_split(features.vectors[290:310], cfg.lam, cfg.reg_epsilon)[1] <= 0
+        points = detect_growing(features, cfg)
+        assert [p.time_s for p in points] == [features.times[300]]
+        assert points[0].score > 0
+
+    def test_refinement_too_close_to_last_point_keeps_coarse_point(self):
+        # Turns at rows 100 and 115. After the point at 100, splits before
+        # row 120 are inadmissible; the refinement centred on 120 finds
+        # 115, closer than n_ini to 100, so the coarse row 120 is kept.
+        features = level_features([0.0] * 100 + [6.0] * 15 + [-6.0] * 285)
+        cfg = BicConfig(n_ini=20, n_g=10, n_max=100, n_s=10)
+        assert _best_split(features.vectors[110:130], cfg.lam, cfg.reg_epsilon)[0] == 5
+        points = detect_growing(features, cfg)
+        assert [p.time_s for p in points] == list(features.times[[100, 120]])
 
 
 class TestDetectFixed:

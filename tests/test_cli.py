@@ -168,6 +168,22 @@ class TestPitchCommand:
         assert out.read_text().startswith("time_s\tpitch_hz\n")
 
 
+class TestFeaturesCommand:
+    def test_tsv_holds_every_mfcc_row(self, synth_files, capsys):
+        from speakerseg.audio_io import load_wav
+        from speakerseg.features import mfcc
+
+        wav, _ = synth_files
+        assert main(["features", str(wav)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "time_s\t" + "\t".join(f"c{i}" for i in range(13))
+        want = mfcc(load_wav(wav))
+        assert len(lines) == len(want) + 1
+        table = np.array([line.split("\t") for line in lines[1:]], dtype=np.float64)
+        np.testing.assert_allclose(table[:, 0], want.times, rtol=0, atol=5.0001e-4)
+        np.testing.assert_allclose(table[:, 1:], want.vectors, rtol=0, atol=5.0001e-7)
+
+
 class TestSegmentCommand:
     def test_pitch_method_finds_boundary(self, synth_files, tmp_path):
         wav, _ = synth_files

@@ -96,6 +96,14 @@ class TestMatchPoints:
         ]
         assert sizes == sorted(sizes)
 
+    @pytest.mark.parametrize("tol", [-0.1, float("nan")])
+    def test_bad_tolerance_rejected(self, tol):
+        ref = points(1.0, 2.0)
+        with pytest.raises(ValueError):
+            match_points(ref, ref, tol)
+        with pytest.raises(ValueError):
+            evaluate(ref, ref, tol)
+
 
 class TestRates:
     def test_fd(self):

@@ -17,6 +17,13 @@ from speakerseg.features import (
 from conftest import buffer_from, sine
 
 
+def three_block_samples():
+    """Tone plus noise spanning exactly three blocks of mfcc rows at the default config."""
+    rng = np.random.default_rng(12)
+    n = 80 * (3 * features._BLOCK_ROWS) + 120
+    return 0.3 * sine(210, 8000, n) + rng.normal(0, 0.05, n)
+
+
 class TestGeometry:
     def test_row_count_and_dim(self):
         buf = buffer_from(np.zeros(1000))
@@ -69,9 +76,7 @@ class TestValues:
 
     def test_prefix_rows_match_across_block_boundary(self):
         block = features._BLOCK_ROWS
-        rng = np.random.default_rng(12)
-        n = 80 * (3 * block) + 120
-        samples = 0.3 * sine(210, 8000, n) + rng.normal(0, 0.05, n)
+        samples = three_block_samples()
         # All 26 coefficients too: some row counts change the last bits of
         # only the last DCT columns.
         for cfg in (MfccConfig(), MfccConfig(n_coeffs=26)):
@@ -81,6 +86,21 @@ class TestValues:
                 prefix = mfcc(buffer_from(samples[: 80 * rows + 120]), cfg).vectors
                 assert len(prefix) == rows
                 assert np.array_equal(prefix, whole[:rows]), (cfg.n_coeffs, rows)
+
+    def test_row_ranges_match_whole_recording(self):
+        block = features._BLOCK_ROWS
+        buf = buffer_from(three_block_samples())
+        spans = (
+            slice(10, 10), slice(7, 8), slice(100, 140), slice(200, 241),
+            slice(block - 12, block + 18), slice(2 * block - 1, 3 * block), slice(None),
+        )
+        for cfg in (MfccConfig(), MfccConfig(n_coeffs=26)):
+            whole = mfcc(buf, cfg)
+            for span in spans:
+                part = mfcc(buf, cfg, span)
+                assert part.vectors.shape == whole.vectors[span].shape
+                assert part.vectors.tobytes() == whole.vectors[span].tobytes(), (cfg, span)
+                assert part.times.tobytes() == whole.times[span].tobytes(), (cfg, span)
 
     def test_no_nan_for_noise(self):
         rng = np.random.default_rng(2)

@@ -220,6 +220,14 @@ class TestPitchFrame:
         with pytest.raises(PreconditionError):
             pitch_frame(np.zeros(100), 8000, PitchConfig())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_non_finite_frame_rejected(self, method, bad):
+        frame = sine(200, 8000, 480)
+        frame[100] = bad
+        with pytest.raises(PreconditionError):
+            pitch_frame(frame, 8000, PitchConfig(method=method))
+
     def test_scaling_leaves_lag_unchanged(self):
         frame = harmonic_tone(150, 8000, 240)
         for method in METHODS:
