@@ -13,24 +13,18 @@ covariances are maximum-likelihood (divide by n) and regularized with
 reg_epsilon * I before taking the determinant so short windows stay
 positive definite.
 
-`_log_dets` factors all the covariances a caller needs in one batched
-Cholesky call. Every score of one split per window comes from
-`_window_scores`, which scores one split of each window of a stack with
-two-pass ML covariances (`_ml_cov`): `delta_bic` (and through it
-`verify_change`) on a stack of one, `fixed_window_scores` on blocks of
-windows. Batching changes no bit of these scores: each set is centred
-and multiplied out on its own, and LAPACK factors each matrix of a batch
-on its own.
-
-The growing window scores every split of a window (`_best_split`, also
-reached through `_refine_split`). It centres the window at its mean and
-reads the covariances of the window and of both sides of every split
-off prefix sums of the rows and of their outer products (Cettolo &
-Vescovi, ICASSP 2003). These scores round differently from the two-pass
-form. On random windows they differ from `delta_bic` at the same split by
-at most about 1e-11 * n * d; the scores of the change points found on the
-test fixture moved by at most 3.2e-13 relative. Only splits whose scores
-tie within that margin could be ordered differently.
+Every score comes from one kernel, `_split_scores`. It scores the splits
+lo..hi of each window of a stack from running sums of the rows, centred
+at the window mean, and of their outer products (Cettolo & Vescovi,
+ICASSP 2003), and factors every covariance in one batched Cholesky call
+(`_log_dets`). `delta_bic` (and through it `verify_change`) is one split
+of a stack of one, `fixed_window_scores` the centre split of blocks of
+windows, and `_best_split` (also reached through `_refine_split`) every
+admissible split of a growing window. Batching changes no bit of a
+score: each window is summed and each matrix factored on its own. A
+sweep that starts at an earlier split adds the rows before b one by one
+where `delta_bic` multiplies them out, so the two scores of split b can
+differ in the last bits: on random windows, by at most about 3e-11 * n * d.
 
 Two sweep strategies emit multiple change points: a growing window that
 restarts at each accepted change, and a fixed-size window slid at a
@@ -113,15 +107,10 @@ def fit_gaussian(rows, reg_epsilon: float = DEFAULT_REG_EPSILON) -> GaussianStat
         raise PreconditionError(f"need at least d+1={d + 1} rows, got {n}")
     if not np.all(np.isfinite(rows)):
         raise PreconditionError("rows must be finite")
-    cov = _ml_cov(rows)
+    centred = rows - rows.mean(axis=0)
+    cov = centred.T @ centred / n
     log_det = float(_log_dets(cov.copy(), reg_epsilon))
     return GaussianStats(n=n, mean=rows.mean(axis=0), cov=cov, log_det=log_det)
-
-
-def _ml_cov(x: np.ndarray) -> np.ndarray:
-    """Two-pass ML covariance of one (n, d) row set or of each set of a (k, n, d) stack."""
-    centered = x - x.mean(axis=-2, keepdims=True)
-    return np.swapaxes(centered, -1, -2) @ centered / x.shape[-2]
 
 
 def _log_dets(covs: np.ndarray, reg_epsilon: float) -> np.ndarray:
@@ -132,22 +121,6 @@ def _log_dets(covs: np.ndarray, reg_epsilon: float) -> np.ndarray:
     np.einsum("...ii->...i", covs)[...] += reg_epsilon
     chol = np.linalg.cholesky(covs)
     return 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
-
-
-def _cov_from_sums(s1: np.ndarray, count, out: np.ndarray) -> None:
-    """Turn out from sums of row outer products into ML covariances, in place.
-
-    s1 holds the row sums of each set and count its number of rows.
-    """
-    count = np.asarray(count, dtype=np.float64)
-    mean = s1 / count[..., None]
-    out /= count[..., None, None]
-    out -= mean[..., :, None] * mean[..., None, :]
-
-
-def _split_scores(n: int, b, whole, left, right, pen: float):
-    """delta_bic from the three log-determinants; b, left and right may be arrays."""
-    return 0.5 * n * whole - 0.5 * b * left - 0.5 * (n - b) * right - pen
 
 
 def penalty(d: int, n: int, lam: float) -> float:
@@ -177,45 +150,63 @@ def delta_bic(
         raise PreconditionError("split leaves a side with fewer than d+1 rows")
     if not np.all(np.isfinite(rows)):
         raise PreconditionError("rows must be finite")
-    return float(_window_scores(rows[None], b, lam, reg_epsilon)[0])
+    return float(_split_scores(rows[None], b, b, lam, reg_epsilon)[0, 0])
 
 
-def _window_scores(windows: np.ndarray, b: int, lam: float, reg_epsilon: float) -> np.ndarray:
-    """Two-pass delta_bic of splitting each window of a (k, n, d) stack at row b."""
-    _, n, d = windows.shape
-    covs = np.concatenate([_ml_cov(windows), _ml_cov(windows[:, :b]), _ml_cov(windows[:, b:])])
-    whole, left, right = np.split(_log_dets(covs, reg_epsilon), 3)
-    return _split_scores(n, b, whole, left, right, penalty(d, n, lam))
+def _split_scores(windows: np.ndarray, lo: int, hi: int, lam: float, reg_epsilon: float):
+    """delta_bic of each window of a (k, n, d) stack at every split lo..hi, as (k, hi - lo + 1).
+
+    Rows are centred at their window's mean. The left side at lo is one
+    product over rows[:lo], and each later split adds one row to it. The
+    whole window is the left side at hi plus one product over rows[hi:],
+    and a right side is the whole less the left side.
+    """
+    k, n, d = windows.shape
+    m = hi - lo + 1
+    centred = windows.copy()  # a copy, then in place: no ufunc buffers for strided windows
+    centred -= centred.mean(axis=1, keepdims=True)
+    # Row sums and sums of row outer products, per window: the whole window
+    # (first rows[hi:] alone), the left sides at lo..hi, the right sides.
+    head = np.empty((k, 2, d, d))
+    np.matmul(np.swapaxes(centred[:, hi:], 1, 2), centred[:, hi:], out=head[:, 0])
+    np.matmul(np.swapaxes(centred[:, :lo], 1, 2), centred[:, :lo], out=head[:, 1])
+    s1 = np.empty((k, 2 * m + 1, d))
+    s1[:, 0] = centred[:, hi:].sum(axis=1)
+    s1[:, 1] = centred[:, :lo].sum(axis=1)
+    s1[:, 2 : m + 1] = centred[:, lo:hi]
+    del centred  # before covs, which is as large for a block of fixed windows
+    covs = np.empty((k, 2 * m + 1, d, d))
+    covs[:, :2] = head
+    del head  # before the subtraction below, which copies its operands when k > 1
+    added = s1[:, 2 : m + 1]
+    np.multiply(added[..., :, None], added[..., None, :], out=covs[:, 2 : m + 1])
+    left, right = slice(1, m + 1), slice(m + 1, None)
+    for sums in (s1, covs):
+        np.cumsum(sums[:, left], axis=1, out=sums[:, left])
+        sums[:, 0] += sums[:, m]
+        np.subtract(sums[:, :1], sums[:, left], out=sums[:, right])
+    # ML covariances: the sums of outer products less count * mean mean^T, over count.
+    b = np.arange(lo, hi + 1)
+    count = np.concatenate([[n], b, n - b])
+    mean = np.divide(s1, count[:, None], out=s1)
+    covs /= count[:, None, None]
+    covs -= mean[..., :, None] * mean[..., None, :]
+    log_dets = _log_dets(covs, reg_epsilon)
+    return (
+        0.5 * n * log_dets[:, :1]
+        - 0.5 * b * log_dets[:, left]
+        - 0.5 * (n - b) * log_dets[:, right]
+        - penalty(d, n, lam)
+    )
 
 
 def _best_split(rows: np.ndarray, lam: float, reg_epsilon: float, min_b: int = 0):
-    """(split, score) of the first maximum over the admissible splits; (None, -inf) if none.
-
-    The covariances of the window and of both sides of every split are
-    read off prefix sums of the rows, centred at the window's mean, and of
-    their outer products: side rows[:b] sums prefix b - 1, side rows[b:]
-    the total less it.
-    """
+    """(split, score) of the first maximum over the admissible splits; (None, -inf) if none."""
     n, d = rows.shape
     lo, hi = max(d + 1, min_b), n - d - 1
     if lo > hi:
         return None, -math.inf
-    k = hi - lo + 1
-    centred = rows - rows.mean(axis=0)
-    s1 = np.cumsum(centred, axis=0)
-    s2 = centred[:, :, None] * centred[:, None, :]
-    np.cumsum(s2, axis=0, out=s2)
-    b = np.arange(lo, hi + 1)
-    covs = np.empty((2 * k + 1, d, d))
-    covs[0] = s2[-1]
-    _cov_from_sums(s1[-1], n, covs[0])
-    covs[1 : k + 1] = s2[lo - 1 : hi]
-    _cov_from_sums(s1[lo - 1 : hi], b, covs[1 : k + 1])
-    np.subtract(s2[-1], s2[lo - 1 : hi], out=covs[k + 1 :])
-    _cov_from_sums(s1[-1] - s1[lo - 1 : hi], n - b, covs[k + 1 :])
-    del s2  # before the factorization, which allocates a stack as large as covs
-    whole, left, right = np.split(_log_dets(covs, reg_epsilon), [1, k + 1])
-    scores = _split_scores(n, b, whole, left, right, penalty(d, n, lam))
+    scores = _split_scores(rows[None], lo, hi, lam, reg_epsilon)[0]
     best = int(np.argmax(scores))
     return lo + best, float(scores[best])
 
@@ -316,7 +307,9 @@ def fixed_window_scores(features: FeatureMatrix, cfg: BicConfig | None = None):
     scores = np.empty(len(starts))
     for lo in range(0, len(starts), _FIXED_BLOCK):
         block = windows[lo : lo + _FIXED_BLOCK]
-        scores[lo : lo + len(block)] = _window_scores(block, half, cfg.lam, cfg.reg_epsilon)
+        scores[lo : lo + len(block)] = _split_scores(
+            block, half, half, cfg.lam, cfg.reg_epsilon
+        )[:, 0]
     return times, scores
 
 

@@ -203,11 +203,12 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
 
 
 def cmd_bench(args, cfg: RunConfig) -> int:
+    names = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not names or not set(names) <= set(SEG_METHODS):
+        print(f"error: --methods takes a comma list of {', '.join(SEG_METHODS)}", file=sys.stderr)
+        return EXIT_USAGE
     buffer = load_wav(args.audio)
     reference = read_change_points(args.reference)
-    names = [m.strip() for m in args.methods.split(",") if m.strip()]
-    if not names:
-        raise FormatError("no methods given")
     methods = [(name, build_method(name, cfg)) for name in names]
     result = benchmark(buffer, reference, methods, cfg.tolerance_s)
     with _output(args.out) as fp:

@@ -199,6 +199,8 @@ class RunConfig:
             raise ValueError(f"unknown segmentation method {self.method!r}")
         if not self.tolerance_s >= 0:  # also rejects NaN
             raise ValueError("tolerance_s must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def build_method(name: str, cfg: RunConfig):

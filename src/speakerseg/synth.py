@@ -49,6 +49,8 @@ class SynthSpec:
             raise ValueError("f0_hz must be empty only when omitted")
         if not all(math.isfinite(f) for f in self.fundamentals()):
             raise ValueError("f0_hz must be finite")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     def fundamentals(self) -> list[float]:
         source = self.f0_hz if self.f0_hz is not None else DEFAULT_F0_LADDER

@@ -10,6 +10,7 @@ from speakerseg.bic import (
     BicConfig,
     GaussianStats,
     _best_split,
+    _split_scores,
     delta_bic,
     detect_fixed,
     detect_growing,
@@ -328,14 +329,23 @@ class TestGoldenScores:
     def test_detect_growing(self, tmp_path):
         spec = SynthSpec(n_speakers=6, duration_s=5.0, noise_level=0.01, seed=42)
         points = detect_growing(synth_features(tmp_path, spec), BicConfig())
-        # Scores from the prefix-sum kernel of _best_split, on MFCC rows whose
-        # DCT is a product with features._dct_matrix.
+        # Scores from the one kernel, _split_scores, on MFCC rows whose DCT is
+        # a product with features._dct_matrix.
         assert [(p.time_s, p.score.hex()) for p in points] == [
-            (4.99, "0x1.caaee825ec222p+8"),
-            (9.99, "0x1.34f338cf592cap+8"),
-            (14.99, "0x1.202b0e644b1ffp+9"),
-            (19.990000000000002, "0x1.435ee0f371c0bp+9"),
-            (25.0, "0x1.ce0b6d3a7b25ap+8"),
+            (4.99, "0x1.caaee825ec05ap+8"),
+            (9.99, "0x1.34f338cf5927ap+8"),
+            (14.99, "0x1.202b0e644b159p+9"),
+            (19.990000000000002, "0x1.435ee0f371c6dp+9"),
+            (25.0, "0x1.ce0b6d3a7b24ap+8"),
+        ]
+        # The same points as the earlier prefix-sum kernel of _best_split
+        # (cumulative sums over the whole window) scored them on these rows.
+        prefix_sums = [
+            "0x1.caaee825ec222p+8",
+            "0x1.34f338cf592cap+8",
+            "0x1.202b0e644b1ffp+9",
+            "0x1.435ee0f371c0bp+9",
+            "0x1.ce0b6d3a7b25ap+8",
         ]
         # The same points as the prefix-sum kernel scored them on MFCC rows
         # from scipy.fft.dct, and as the two-pass kernel (one _ml_cov per
@@ -354,7 +364,7 @@ class TestGoldenScores:
             "0x1.435ee0f37229dp+9",
             "0x1.ce0b6d3a7a7e2p+8",
         ]
-        for want in (scipy_dct, two_pass):
+        for want in (prefix_sums, scipy_dct, two_pass):
             for p, score in zip(points, want, strict=True):
                 assert p.score == pytest.approx(float.fromhex(score), rel=1e-9, abs=0)
 
@@ -362,13 +372,22 @@ class TestGoldenScores:
         spec = SynthSpec(n_speakers=6, duration_s=10.0, noise_level=0.02, seed=42)
         points = detect_fixed(synth_features(tmp_path, spec), BicConfig())
         assert [(p.time_s, float(p.score).hex()) for p in points] == [
-            (10.0, "0x1.5441ac303e27ep+8"),
-            (20.0, "0x1.c87423ab1076cp+7"),
-            (30.0, "0x1.7feacf6f67506p+8"),
-            (40.0, "0x1.f29c73d39684ap+8"),
-            (50.0, "0x1.917cb56becf2ap+8"),
+            (10.0, "0x1.5441ac303e21ep+8"),
+            (20.0, "0x1.c87423ab106dcp+7"),
+            (30.0, "0x1.7feacf6f6749ep+8"),
+            (40.0, "0x1.f29c73d3969c6p+8"),
+            (50.0, "0x1.917cb56beced2p+8"),
         ]
-        # The same points as scored on MFCC rows from scipy.fft.dct.
+        # The same points as the two-pass kernel (one _ml_cov per side)
+        # scored them on these rows, and as it scored them on MFCC rows from
+        # scipy.fft.dct.
+        two_pass = [
+            "0x1.5441ac303e27ep+8",
+            "0x1.c87423ab1076cp+7",
+            "0x1.7feacf6f67506p+8",
+            "0x1.f29c73d39684ap+8",
+            "0x1.917cb56becf2ap+8",
+        ]
         scipy_dct = [
             "0x1.5441ac303e296p+8",
             "0x1.c87423ab1076cp+7",
@@ -376,8 +395,9 @@ class TestGoldenScores:
             "0x1.f29c73d39682ap+8",
             "0x1.917cb56becf56p+8",
         ]
-        for p, score in zip(points, scipy_dct, strict=True):
-            assert p.score == pytest.approx(float.fromhex(score), rel=1e-9, abs=0)
+        for want in (two_pass, scipy_dct):
+            for p, score in zip(points, want, strict=True):
+                assert p.score == pytest.approx(float.fromhex(score), rel=1e-9, abs=0)
 
 
 class TestBatchedKernel:
@@ -414,6 +434,23 @@ class TestBatchedKernel:
         ]
         assert scores.tolist() == want
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_every_split_matches_scalar_reimplementation(self, d):
+        rng = np.random.default_rng(3000 + d)
+        for _ in range(10):
+            k = int(rng.integers(1, 4))
+            n = int(rng.integers(3 * (d + 1), 60))
+            windows = rng.normal(0.0, 1.0, (k, n, d)) * rng.uniform(0.1, 10.0, d)
+            windows[:, n // 2 :] += rng.uniform(-3.0, 3.0, (k, 1, d))
+            lam = float(rng.uniform(0, 2))
+            lo, hi = d + 1, n - d - 1
+            got = _split_scores(windows, lo, hi, lam, 1e-6)
+            assert got.shape == (k, hi - lo + 1)
+            for w, rows in enumerate(windows.tolist()):
+                for b in range(lo, hi + 1):
+                    want = scalar_delta_bic(rows, b, lam)
+                    assert got[w, b - lo] == pytest.approx(want, abs=1e-8)
+
     @settings(max_examples=40, deadline=None)
     @given(
         d=st.integers(1, 6),
@@ -431,10 +468,11 @@ class TestBatchedKernel:
             assert (b, score) == (None, -math.inf)
             return
         want = [delta_bic(rows, s, 1.0, 1e-6) for s in splits]
-        # _best_split reads its covariances off prefix sums and delta_bic
-        # forms each side in two passes, so the two round differently. A
-        # score weighs d-dimensional log-determinants by n rows in all; the
-        # largest gap over 2,900 draws of this domain was 1.2e-11 * n * d.
+        # _best_split adds the rows before a split one by one from its first
+        # split on, where delta_bic multiplies them out, so the two round
+        # differently. A score weighs d-dimensional log-determinants by n
+        # rows in all; the largest gap over 7,372 draws of this domain was
+        # 2.5e-11 * n * d.
         tol = 1e-9 * n * d
         assert abs(score - max(want)) <= tol
         assert b in splits

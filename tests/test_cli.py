@@ -152,6 +152,34 @@ class TestExitCodes:
         assert main(["bench", str(wav), str(bad)]) == EXIT_FORMAT
 
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_is_format_error(self, source, tmp_path, capsys):
+        argv = ["synth", "--out", str(tmp_path / "s.wav"), "--ref-out", str(tmp_path / "s.txt")]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("seed = -3\n")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert "seed" in err and "Traceback" not in err
+        assert not (tmp_path / "s.wav").exists()
+
+    @pytest.mark.parametrize("methods", ["foo", "pitch,foo", "", " , "])
+    def test_unknown_bench_method_is_usage_error(self, methods, synth_files, capsys):
+        wav, ref = synth_files
+        assert main(["bench", str(wav), str(ref), "--methods", methods]) == EXIT_USAGE
+        assert "--methods" in capsys.readouterr().err
+
+    def test_unknown_method_in_config_is_format_error(self, synth_files, tmp_path):
+        wav, ref = synth_files
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("method = foo\n")
+        assert main(["bench", str(wav), str(ref), "--config", str(cfg)]) == EXIT_FORMAT
+        assert main(["segment", str(wav), "--config", str(cfg)]) == EXIT_FORMAT
+
+
 class TestPitchCommand:
     def test_tsv_header_and_rows(self, synth_files, capsys):
         wav, _ = synth_files

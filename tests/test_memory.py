@@ -1,5 +1,5 @@
-"""Working memory of the front ends, of the pitch pipeline and of the
-fixed BIC sweep does not grow with recording length.
+"""Working memory of the front ends, of the pitch pipeline and of both
+BIC sweeps does not grow with recording length.
 
 Working memory is the tracemalloc peak of one call less the bytes of the
 result it returns, whose size is proportional to the length by design.
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from speakerseg.audio_io import AudioBuffer
-from speakerseg.bic import detect_fixed
+from speakerseg.bic import detect_fixed, detect_growing
 from speakerseg.features import FeatureMatrix, mfcc
 from speakerseg.pitch import pitch_track
 from speakerseg.pitch_seg import segment
@@ -81,13 +81,22 @@ def speaker_features(seconds, hop_s=0.01, turn_s=5.0, d=13):
     return FeatureMatrix(rows, np.arange(n) * hop_s)
 
 
-def test_fixed_sweep_working_memory_bounded():
-    def result_bytes(points):
-        return sys.getsizeof(points) + sum(
-            sys.getsizeof(p) + sys.getsizeof(p.__dict__) for p in points
-        )
+def change_point_bytes(points):
+    return sys.getsizeof(points) + sum(
+        sys.getsizeof(p) + sys.getsizeof(p.__dict__) for p in points
+    )
 
+
+def test_fixed_sweep_working_memory_bounded():
     short, long = speaker_features(60.0), speaker_features(600.0)
-    short_bytes = working_bytes(detect_fixed, short, result_bytes)
-    long_bytes = working_bytes(detect_fixed, long, result_bytes)
+    short_bytes = working_bytes(detect_fixed, short, change_point_bytes)
+    long_bytes = working_bytes(detect_fixed, long, change_point_bytes)
+    assert long_bytes - short_bytes < GROWTH_LIMIT_BYTES
+
+
+def test_growing_sweep_working_memory_bounded():
+    """The window never exceeds n_max rows, whatever the length."""
+    short, long = speaker_features(60.0), speaker_features(600.0)
+    short_bytes = working_bytes(detect_growing, short, change_point_bytes)
+    long_bytes = working_bytes(detect_growing, long, change_point_bytes)
     assert long_bytes - short_bytes < GROWTH_LIMIT_BYTES

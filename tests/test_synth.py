@@ -30,6 +30,11 @@ class TestSpec:
             SynthSpec(noise_level=-0.1)
 
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            SynthSpec(seed=-1)
+
+
 class TestGeneration:
     def test_boundaries_at_concatenation(self):
         buffer, truth = synth_speakers(SynthSpec(n_speakers=3, duration_s=2.0, seed=1))
