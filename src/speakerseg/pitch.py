@@ -11,30 +11,35 @@ return fs/tau, or 0.0 for frames that fail the voicing gate.
 
 The track over a recording is computed in blocks of frames spanning
 about _BLOCK_SAMPLES samples. For each lag tau, a block forms the pair
-values |x[t] - x[t+tau]| (AMDF) or x[t] * x[t+tau] (ACF) once over the
-samples it covers and sums them in hop-sized chunks; each frame's sum is
-its whole chunks plus one partial chunk. A lone frame (pitch_frame) is
-one chunk. The cepstrum transforms each frame of a block separately,
+values max(x[t], x[t+tau]) (AMDF) or x[t] * x[t+tau] (ACF) once over the
+samples it covers and sums them in hop-sized chunks; one matrix product
+gives each frame's whole chunks and its one partial chunk. AMDF takes
+|a - b| = 2 max(a, b) - a - b, with each frame's sums of a and b read
+off one running sum of the block. A lone frame (pitch_frame) is one
+chunk. The cepstrum transforms each frame of a block separately,
 framed by `_frame_signal` as the track and the MFCC rows are. Working
 memory is a few block-sized buffers per block in flight and does not
 grow with the length of the recording; only the output does.
 
 Exactness. On anything load_wav returns (16-bit PCM, mono or stereo)
 every sample is a multiple of 2**-16 in [-1, 1]. Every AMDF pair value
-is then a multiple of 2**-16 and every ACF pair value one of 2**-32, so
-a partial sum over a frame of n samples needs at most 33 + log2(n) bits
-(42 at n = 480), under float64's 53. Every summation order is thus
-exact: the track is bit-identical to summing each frame's own pair
-values with np.sum, for any block size and any number of threads. On
-other float input the chunked sums differ from a per-frame sum by at
-most about n * eps * sum(|pair values|).
+and running sum is then a multiple of 2**-16 and every ACF pair value
+one of 2**-32. A frame's ACF sum needs at most 33 + log2(n) bits (42 at
+n = 480), and an AMDF or running sum over N samples at most 17 + log2(N)
+(33 for one block), under float64's 53. Every summation order is thus exact:
+each sum, and so the track, is bit-identical to summing each frame's own
+a * b or |a - b| with np.sum, for any block size and any number of
+threads. On other float input an ACF sum differs from the per-frame sum
+by at most about n * eps * sum(|a * b|), and an AMDF sum by at most about
+eps * (2n * S + 2N * X): S = sum(|a| + |b|) over the frame's pairs, N
+the running sum's length and X = sum(|x|) over it.
 
 The blocks are independent and each writes its own slice of the output,
 so they always run on a pool of min(CPUs available to the process,
 blocks) threads, which may be one; numpy releases the GIL inside the
-pair and sum loops. The pool
-lives for one call (a pool made before a fork would hang in the child).
-Each block computes the same sums whatever thread runs it.
+pair and sum loops. The pool lives for one call (a pool made before a
+fork would hang in the child). Each block computes the same sums
+whatever thread runs it.
 
 AMDF selection and voicing operate on the per-overlap-sample mean of the
 raw difference sum: the raw sum shrinks with lag simply because fewer
@@ -50,6 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import numpy.fft  # load it now; numpy would load it lazily, in the first transform
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import AudioBuffer, _frame_signal, plan_from_seconds
 from .errors import PreconditionError
@@ -138,39 +144,52 @@ def lag_bounds(sample_rate_hz: int, cfg: PitchConfig) -> tuple[int, int]:
     return lo, hi
 
 
-def _abs_diff(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    np.subtract(a, b, out=out)
-    return np.abs(out, out=out)
-
-
 def _lag_sums(seg: np.ndarray, n: int, hop: int, m: int, lags, pair) -> np.ndarray:
     """(m, len(lags)) sums of pair(x[i], x[i + tau]) over i < n - tau per frame.
 
     seg holds m frames of n samples, hop apart, and every tau < n. Each
     lag's pair values are formed once over seg into one reused buffer and
-    summed in hop-sized chunks by one matrix-vector product. Frame k's
-    sum is then its c = (n - tau) // hop whole chunks k .. k + c - 1 plus
-    the first (n - tau) % hop values of chunk k + c. A lone frame is one
-    chunk of n samples.
+    summed in hop-sized chunks by one product with (hop, 2) weights whose
+    column 1 keeps only the first (n - tau) % hop values. Frame k's sum is
+    its c = (n - tau) // hop whole chunks k .. k + c - 1 plus the partial
+    sum of chunk k + c. A lone frame is one chunk of n samples.
     """
     if m == 1:
         hop = n
     n_chunks = m + n // hop  # covers seg, and the partial chunk of the last frame
     work = np.zeros(n_chunks * hop)
     chunks = work.reshape(n_chunks, hop)
-    ones = np.ones(hop)
+    weights = np.ones((hop, 2))
     out = np.zeros((len(lags), m))
     for j, tau in enumerate(lags):
         pair(seg[: len(seg) - tau], seg[tau:], out=work[: len(seg) - tau])
         whole, part = divmod(n - tau, hop)
+        weights[:, 1] = np.arange(hop) < part
+        sums = chunks[: m + whole] @ weights
         row = out[j]
-        if whole:
-            chunk_sums = chunks[: m + whole - 1] @ ones
-            for q in range(whole):
-                row += chunk_sums[q : q + m]
-        if part:
-            row += chunks[whole : whole + m, :part] @ ones[:part]
+        for q in range(whole):
+            row += sums[q : q + m, 0]
+        row += sums[whole:, 1]
     return out.T
+
+
+def _amdf_rows(seg: np.ndarray, n: int, hop: int, m: int, lags: np.ndarray) -> np.ndarray:
+    """(m, len(lags)) per-overlap-sample AMDF sum(|a - b|) / (n - tau) of consecutive lags.
+
+    sum(|a - b|) = 2 sum(max(a, b)) - sum(a) - sum(b). With r the running
+    sum of seg, frame k's sum(a) + sum(b) is r[k*hop + n - tau] - r[k*hop]
+    + r[k*hop + n] - r[k*hop + tau], applied in place to the lag-major rows.
+    """
+    rows = _lag_sums(seg, n, hop, m, lags, np.maximum).T  # lag-major, C-contiguous
+    run = np.zeros(len(seg) + 1)
+    np.cumsum(seg, out=run[1:])
+    win = sliding_window_view(run, len(lags))
+    rows *= 2.0
+    rows -= win[n - lags[-1] :: hop][:m, ::-1].T  # r[k*hop + n - tau]
+    rows += win[lags[0] :: hop][:m].T  # r[k*hop + tau]
+    rows -= run[n::hop][:m] - run[::hop][:m]  # r[k*hop + n] - r[k*hop]
+    rows /= (n - lags)[:, None]
+    return rows.T
 
 
 def _cepstrum_rows(rows: np.ndarray, nfft: int) -> np.ndarray:
@@ -200,7 +219,8 @@ def _select_amdf(padded: np.ndarray, threshold: float):
     max_in_range = np.max(norm, axis=1)
     deep = norm <= AMDF_DIP_FRACTION * max_in_range[:, None]
     qualifying = is_dip & deep
-    fallback = np.argmin(norm, axis=1)
+    # argmin along the lag axis would copy the lag-major table; this copies a bool one
+    fallback = np.argmax(norm == np.min(norm, axis=1)[:, None], axis=1)
     first = np.argmax(qualifying, axis=1)
     has_dip = qualifying.any(axis=1)
     idx = np.where(has_dip, first, fallback)
@@ -247,7 +267,7 @@ def _pitch_block(
         idx, voiced = _select_acf(sums[:, 1:], sums[:, 0], cfg.voicing_threshold)
     elif cfg.method == AMDF:
         lags = np.arange(lo - 1, min(hi + 1, n - 1) + 1)
-        padded = _lag_sums(seg, n, hop, m, lags, _abs_diff) / (n - lags).astype(np.float64)
+        padded = _amdf_rows(seg, n, hop, m, lags)
         if hi + 1 == n:  # the right neighbor lag overlaps no samples
             padded = np.pad(padded, ((0, 0), (0, 1)), constant_values=np.inf)
         idx, voiced = _select_amdf(padded, cfg.voicing_threshold)

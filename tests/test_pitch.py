@@ -37,6 +37,12 @@ def brute_amdf(frame):
     return [sum(abs(frame[i] - frame[i + tau]) for i in range(n - tau)) for tau in range(n)]
 
 
+def abs_diff(a, b, out):
+    """|a - b| into out: the AMDF pair values, formed directly."""
+    np.subtract(a, b, out=out)
+    return np.abs(out, out=out)
+
+
 # The one-frame case of each detector's kernel: m = 1 frame of n samples.
 def acf(frame):
     """Autocorrelation R(tau) for tau = 0..len(frame)-1, truncated sums."""
@@ -47,7 +53,7 @@ def acf(frame):
 def amdf(frame):
     """Raw magnitude-difference sum for tau = 0..len(frame)-1."""
     frame = np.asarray(frame, dtype=np.float64)
-    return pitch._lag_sums(frame, len(frame), 1, 1, np.arange(len(frame)), pitch._abs_diff)[0]
+    return pitch._lag_sums(frame, len(frame), 1, 1, np.arange(len(frame)), abs_diff)[0]
 
 
 def cepstrum(frame):
@@ -128,10 +134,15 @@ class TestLagSums:
         # multiple of 2**-16, so every partial sum is exact in float64 and
         # the summation order cannot show.
         rng = np.random.default_rng(n + hop)
+        # Lags whose frames hold no whole chunk, and lags whose frames end
+        # on a chunk boundary (no partial chunk); a lone frame has both.
+        chunking = {divmod(n - tau, hop) for tau in range(n)}
+        assert any(whole == 0 for whole, _ in chunking)
+        assert n < hop or any(whole and not part for whole, part in chunking)
         for m in (1, 9):
             length = (m - 1) * hop + n
             seg = (pcm16(rng.normal(0, 0.3, length)) + pcm16(rng.normal(0, 0.3, length))) / 2
-            for pair in (np.multiply, pitch._abs_diff):
+            for pair in (np.multiply, np.maximum, abs_diff):
                 got = pitch._lag_sums(seg, n, hop, m, np.arange(n), pair)
                 for k, tau, terms in self.frame_terms(seg, n, hop, m, pair):
                     assert got[k, tau] == np.sum(terms) == math.fsum(terms)
@@ -142,11 +153,29 @@ class TestLagSums:
         eps = np.finfo(np.float64).eps
         for m in (1, 9):
             seg = rng.normal(0, 0.3, (m - 1) * hop + n)
-            for pair in (np.multiply, pitch._abs_diff):
+            for pair in (np.multiply, np.maximum, abs_diff):
                 got = pitch._lag_sums(seg, n, hop, m, np.arange(n), pair)
                 for k, tau, terms in self.frame_terms(seg, n, hop, m, pair):
                     exact = math.fsum(terms)
                     assert abs(got[k, tau] - exact) <= n * eps * math.fsum(np.abs(terms))
+
+    @pytest.mark.parametrize("n, hop", GEOMETRIES)
+    def test_float_amdf_rows_within_identity_bound(self, n, hop):
+        # 2 sum(max) - sum(a) - sum(b) on unquantised input: the bound the
+        # module docstring states, with S = sum(|a| + |b|) of the frame's
+        # pairs, N the running sum's length and X = sum(|x|) over it.
+        rng = np.random.default_rng(n + 7 * hop)
+        eps = np.finfo(np.float64).eps
+        for m in (1, 9):
+            seg = rng.uniform(-1, 1, (m - 1) * hop + n)
+            got = pitch._amdf_rows(seg, n, hop, m, np.arange(n))
+            big_n, x = len(seg), math.fsum(np.abs(seg))
+            for k, tau, terms in self.frame_terms(seg, n, hop, m, abs_diff):
+                frame = seg[k * hop : k * hop + n]
+                s = math.fsum(np.abs(frame[: n - tau])) + math.fsum(np.abs(frame[tau:]))
+                exact = math.fsum(terms)
+                bound = eps * ((2 * n + 4) * s + (2 * big_n + 4) * x + exact)
+                assert abs(got[k, tau] - exact / (n - tau)) <= bound / (n - tau)
 
 
 class TestAmdf:
@@ -454,6 +483,63 @@ class TestPcm16BitIdentity:
         assert np.array_equal(default.pitch_hz, reference.pitch_hz)
         assert np.array_equal(serial.pitch_hz, reference.pitch_hz)
         assert np.count_nonzero(reference.pitch_hz) > 0
+
+
+class TestAmdfExactAtFullScale:
+    """Every normalised AMDF value, not only the chosen lag, equals the
+    direct per-frame sum(|a - b|) / (n - tau) bit for bit on full-scale
+    PCM16 input: square waves alternating -1 and 32767/32768, whose
+    uneven duty cycles also drive the block's running sum far from zero."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Checks every _amdf_rows call against the direct sums; collects each call's m."""
+        kernel, calls = pitch._amdf_rows, []
+
+        def checked_amdf_rows(seg, n, hop, m, lags):
+            got = kernel(seg, n, hop, m, lags)
+            direct = per_frame_lag_sums(seg, n, hop, m, lags, abs_diff) / (n - lags)
+            assert np.array_equal(got, direct)
+            calls.append(m)
+            return got
+
+        monkeypatch.setattr(pitch, "_amdf_rows", checked_amdf_rows)
+        return calls
+
+    @staticmethod
+    def squares(tmp_path, fs, channels, n_samples):
+        t = np.arange(n_samples) / fs
+        waves = [np.where(t * f0 % 1 < duty, 1.0, -1.0) for f0, duty in [(130, 0.7), (207, 0.4)]]
+        path = tmp_path / "square.wav"
+        write_pcm16_wav(path, waves[:channels], fs)
+        buf = load_wav(path)
+        assert buf.samples.max() == 32767 / 32768 and buf.samples.min() == -1.0
+        return buf
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("fs", [8000, 16000])
+    def test_multi_block_track(self, tmp_path, calls, fs, channels):
+        buf = self.squares(tmp_path, fs, channels, 2 * pitch._BLOCK_SAMPLES + fs // 2)
+        track = pitch_track(buf, PitchConfig(method=AMDF))
+        assert len(calls) >= 3 and sum(calls) == len(track)
+        assert np.count_nonzero(track.pitch_hz) > 0
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("fs", [8000, 16000])
+    def test_pitch_frame(self, tmp_path, calls, fs, channels):
+        buf = self.squares(tmp_path, fs, channels, fs // 4)
+        n = round(PitchConfig().frame_len_s * fs)
+        for start in range(0, len(buf.samples) - n, 97):
+            pitch_frame(buf.samples[start : start + n], fs, PitchConfig(method=AMDF))
+        assert calls and set(calls) == {1}
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_frame_whose_longest_lag_leaves_no_right_neighbor(self, tmp_path, calls, channels):
+        cfg = PitchConfig(method=AMDF, frame_len_s=0.01675)
+        assert lag_bounds(8000, cfg)[1] + 1 == 134  # hi + 1 == n
+        buf = self.squares(tmp_path, 8000, channels, 2 * pitch._BLOCK_SAMPLES + 4000)
+        track = pitch_track(buf, cfg)
+        assert len(calls) >= 3 and sum(calls) == len(track)
 
 
 class TestSineAccuracy:
