@@ -124,13 +124,17 @@ def write_wav(path, samples, sample_rate_hz: int) -> None:
     Path(path).write_bytes(header + payload)
 
 
-def _frame_signal(samples: np.ndarray, sample_rate_hz: int, window_len: int, hop: int):
+def _frame_signal(
+    samples: np.ndarray, sample_rate_hz: int, window_len: int, hop: int,
+    rows: slice = slice(None),
+):
     """Slice samples into complete analysis frames.
 
-    Returns (frames, times): an (n, window_len) read-only view, frame k
-    covering [k*hop, k*hop + window_len), and the n frame start times in
-    seconds. Input shorter than one window yields zero frames; tail
-    samples that do not fill a full window are discarded.
+    Returns (frames, times): a read-only view of the frames that rows
+    selects, by default all n, frame k covering [k*hop, k*hop + window_len),
+    and their start times in seconds. Only the selected times are built.
+    Input shorter than one window yields zero frames; tail samples that do
+    not fill a full window are discarded.
     """
     if len(samples) < window_len:
         return (
@@ -138,8 +142,8 @@ def _frame_signal(samples: np.ndarray, sample_rate_hz: int, window_len: int, hop
             np.empty(0, dtype=np.float64),
         )
     windows = np.lib.stride_tricks.sliding_window_view(samples, window_len)[::hop]
-    times = np.arange(len(windows)) * (hop / sample_rate_hz)
-    return windows, times
+    times = np.arange(*rows.indices(len(windows))) * (hop / sample_rate_hz)
+    return windows[rows], times
 
 
 def plan_from_seconds(buffer: AudioBuffer, frame_len_s: float, hop_s: float) -> tuple[int, int]:

@@ -165,9 +165,8 @@ def mfcc(
     if len(buffer.samples) < cfg.window_len:
         raise PreconditionError("audio shorter than one analysis window")
     frames, times = _frame_signal(
-        buffer.samples, buffer.sample_rate_hz, cfg.window_len, cfg.hop
+        buffer.samples, buffer.sample_rate_hz, cfg.window_len, cfg.hop, rows
     )
-    frames, times = frames[rows], times[rows]
     nfft = next_pow2(cfg.window_len)
     window = _hamming(cfg.window_len)
     bank_t = mel_filterbank(cfg.n_mel_filters, nfft, buffer.sample_rate_hz).T

@@ -17,9 +17,10 @@ gives each frame's whole chunks and its one partial chunk. AMDF takes
 |a - b| = 2 max(a, b) - a - b, with each frame's sums of a and b read
 off one running sum of the block. A lone frame (pitch_frame) is one
 chunk. The cepstrum transforms each frame of a block separately,
-framed by `_frame_signal` as the track and the MFCC rows are. Working
-memory is a few block-sized buffers per block in flight and does not
-grow with the length of the recording; only the output does.
+framed by `_frame_signal` as the track and the MFCC rows are. The
+blocks run one after another on the calling thread, so working memory
+is a few block-sized buffers and does not grow with the length of the
+recording; only the output does.
 
 Exactness. On anything load_wav returns (16-bit PCM, mono or stereo)
 every sample is a multiple of 2**-16 in [-1, 1]. Every AMDF pair value
@@ -28,18 +29,11 @@ one of 2**-32. A frame's ACF sum needs at most 33 + log2(n) bits (42 at
 n = 480), and an AMDF or running sum over N samples at most 17 + log2(N)
 (33 for one block), under float64's 53. Every summation order is thus exact:
 each sum, and so the track, is bit-identical to summing each frame's own
-a * b or |a - b| with np.sum, for any block size and any number of
-threads. On other float input an ACF sum differs from the per-frame sum
-by at most about n * eps * sum(|a * b|), and an AMDF sum by at most about
+a * b or |a - b| with np.sum, for any block size. On other float input
+an ACF sum differs from the per-frame sum by at most about
+n * eps * sum(|a * b|), and an AMDF sum by at most about
 eps * (2n * S + 2N * X): S = sum(|a| + |b|) over the frame's pairs, N
 the running sum's length and X = sum(|x|) over it.
-
-The blocks are independent and each writes its own slice of the output,
-so they always run on a pool of min(CPUs available to the process,
-blocks) threads, which may be one; numpy releases the GIL inside the
-pair and sum loops. The pool lives for one call (a pool made before a
-fork would hang in the child). Each block computes the same sums
-whatever thread runs it.
 
 AMDF selection and voicing operate on the per-overlap-sample mean of the
 raw difference sum: the raw sum shrinks with lag simply because fewer
@@ -49,8 +43,6 @@ let white noise pass the voicing gate.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,10 +189,20 @@ def _cepstrum_rows(rows: np.ndarray, nfft: int) -> np.ndarray:
     return np.fft.irfft(np.log(spectra + SPECTRAL_FLOOR), nfft, axis=1)
 
 
+def _first_at(table: np.ndarray, extreme: np.ndarray) -> np.ndarray:
+    """Per row, the first lag where table equals that row's extreme.
+
+    argmax or argmin along a lag axis that is not contiguous, as in the
+    lag-major sums or a column slice of the cepstra, would copy the
+    table; this copies a bool one.
+    """
+    return np.argmax(table == extreme[:, None], axis=1)
+
+
 def _select_acf(values: np.ndarray, energy: np.ndarray, threshold: float):
     """Pitch lags and voicing for rows of R(tau) restricted to the search range."""
-    idx = np.argmax(values, axis=1)
-    peaks = np.take_along_axis(values, idx[:, None], axis=1)[:, 0]
+    peaks = np.max(values, axis=1)
+    idx = _first_at(values, peaks)
     voiced = (energy > 0) & (peaks >= threshold * energy)
     return idx, voiced
 
@@ -219,8 +221,7 @@ def _select_amdf(padded: np.ndarray, threshold: float):
     max_in_range = np.max(norm, axis=1)
     deep = norm <= AMDF_DIP_FRACTION * max_in_range[:, None]
     qualifying = is_dip & deep
-    # argmin along the lag axis would copy the lag-major table; this copies a bool one
-    fallback = np.argmax(norm == np.min(norm, axis=1)[:, None], axis=1)
+    fallback = _first_at(norm, np.min(norm, axis=1))
     first = np.argmax(qualifying, axis=1)
     has_dip = qualifying.any(axis=1)
     idx = np.where(has_dip, first, fallback)
@@ -233,10 +234,11 @@ def _select_amdf(padded: np.ndarray, threshold: float):
 
 
 def _select_cepstral(values: np.ndarray, threshold: float):
-    idx = np.argmax(values, axis=1)
-    peaks = np.take_along_axis(values, idx[:, None], axis=1)[:, 0]
+    peaks = np.max(values, axis=1)
+    idx = _first_at(values, peaks)
     median = np.median(values, axis=1)
-    mad = np.median(np.abs(values - median[:, None]), axis=1) * 1.4826
+    dev = values - median[:, None]
+    mad = np.median(np.abs(dev, out=dev), axis=1, overwrite_input=True) * 1.4826
     z_required = CEPSTRAL_Z_BASE + CEPSTRAL_Z_SPAN * threshold
     with np.errstate(invalid="ignore", divide="ignore"):
         z = (peaks - median) / mad
@@ -289,13 +291,6 @@ def pitch_frame(frame, sample_rate_hz: int, cfg: PitchConfig | None = None) -> f
     return float(_pitch_block(frame, len(frame), 1, 1, sample_rate_hz, cfg, lo, hi)[0])
 
 
-def _available_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def pitch_track(buffer: AudioBuffer, cfg: PitchConfig | None = None) -> PitchTrack:
     """Run the configured detector over every frame of a recording."""
     cfg = cfg or PitchConfig()
@@ -306,17 +301,12 @@ def pitch_track(buffer: AudioBuffer, cfg: PitchConfig | None = None) -> PitchTra
     lo, hi = _frame_lags(n, buffer.sample_rate_hz, cfg)
     pitch = np.empty(len(rows))
     block = max(1, _BLOCK_SAMPLES // hop)
-    starts = range(0, len(rows), block)
-
-    def run(start: int) -> None:
+    for start in range(0, len(rows), block):
         m = min(block, len(rows) - start)
         seg = buffer.samples[start * hop : (start + m - 1) * hop + n]
         pitch[start : start + m] = _pitch_block(
             seg, n, hop, m, buffer.sample_rate_hz, cfg, lo, hi
         )
-
-    with ThreadPoolExecutor(min(_available_cpus(), len(starts))) as pool:
-        list(pool.map(run, starts))  # re-raises a worker's exception
     return PitchTrack(times=times, pitch_hz=pitch)
 
 

@@ -93,6 +93,7 @@ class TestValues:
         spans = (
             slice(10, 10), slice(7, 8), slice(100, 140), slice(200, 241),
             slice(block - 12, block + 18), slice(2 * block - 1, 3 * block), slice(None),
+            slice(3 * block - 5, 10 * block), slice(-30, -7),
         )
         for cfg in (MfccConfig(), MfccConfig(n_coeffs=26)):
             whole = mfcc(buf, cfg)

@@ -1,5 +1,4 @@
 import math
-import sys
 import wave
 
 import numpy as np
@@ -366,47 +365,19 @@ class TestPitchTrack:
         assert np.array_equal(track.pitch_hz, per_frame)
         assert np.count_nonzero(track.pitch_hz) > 0
 
-    @pytest.mark.parametrize("method", METHODS)
-    def test_block_size_does_not_change_track(self, monkeypatch, method):
-        rng = np.random.default_rng(9)
-        n_samples = 3 * pitch._BLOCK_SAMPLES + 1234
-        samples = 0.5 * harmonic_tone(170, 8000, n_samples) + rng.normal(0, 0.05, n_samples)
-        buf = buffer_from(samples)
-        cfg = PitchConfig(method=method)
-        default = pitch_track(buf, cfg)
-        monkeypatch.setattr(pitch, "_BLOCK_SAMPLES", 1000)
-        assert np.array_equal(pitch_track(buf, cfg).pitch_hz, default.pitch_hz)
-
     @pytest.mark.parametrize("fs", [8000, 16000])
     @pytest.mark.parametrize("method", METHODS)
-    def test_worker_count_does_not_change_track(self, monkeypatch, fs, method):
-        pools = []
-
-        class CountingPool(pitch.ThreadPoolExecutor):
-            def __init__(self, workers):
-                pools.append(workers)
-                super().__init__(workers)
-
-        rng = np.random.default_rng(fs + 1)
-        tones = np.concatenate([harmonic_tone(130, fs, fs // 2), harmonic_tone(200, fs, fs // 2)])
-        buf = buffer_from(tones + rng.normal(0, 0.01, len(tones)), fs)
+    def test_block_size_does_not_change_track(self, monkeypatch, fs, method):
+        rng = np.random.default_rng(9)
+        n_samples = 3 * pitch._BLOCK_SAMPLES + 1234
+        samples = 0.5 * harmonic_tone(170, fs, n_samples) + rng.normal(0, 0.05, n_samples)
+        buf = buffer_from(samples, fs)
         cfg = PitchConfig(method=method)
-        monkeypatch.setattr(pitch, "ThreadPoolExecutor", CountingPool)
-        monkeypatch.setattr(pitch, "_BLOCK_SAMPLES", 2000)
         default = pitch_track(buf, cfg)
-        monkeypatch.setattr(pitch, "_available_cpus", lambda: 1)
-        serial = pitch_track(buf, cfg)
-        monkeypatch.setattr(pitch, "_available_cpus", lambda: 3)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads as often as possible
-        try:
-            threaded = pitch_track(buf, cfg)
-        finally:
-            sys.setswitchinterval(interval)
-        assert pools[-1] == 3  # at least 3 blocks, each run on the pool
-        assert np.array_equal(serial.pitch_hz, default.pitch_hz)
-        assert np.array_equal(serial.pitch_hz, threaded.pitch_hz)
-        assert np.count_nonzero(serial.pitch_hz) > 0
+        assert len(default) > 3 * (pitch._BLOCK_SAMPLES // round(cfg.hop_s * fs))  # 4 blocks
+        monkeypatch.setattr(pitch, "_BLOCK_SAMPLES", 1000)
+        assert np.array_equal(pitch_track(buf, cfg).pitch_hz, default.pitch_hz)
+        assert np.count_nonzero(default.pitch_hz) > 0
 
     def test_too_short_buffer(self):
         with pytest.raises(PreconditionError):
@@ -475,13 +446,10 @@ class TestPcm16BitIdentity:
 
         monkeypatch.setattr(pitch, "_lag_sums", checked_lag_sums)
         default = pitch_track(buf, cfg)
-        monkeypatch.setattr(pitch, "_available_cpus", lambda: 1)
-        serial = pitch_track(buf, cfg)
-        assert len(blocks) >= 2 * 3 and sum(blocks) == 2 * len(default)
+        assert len(blocks) >= 3 and sum(blocks) == len(default)
         monkeypatch.setattr(pitch, "_lag_sums", per_frame_lag_sums)
         reference = pitch_track(buf, cfg)
         assert np.array_equal(default.pitch_hz, reference.pitch_hz)
-        assert np.array_equal(serial.pitch_hz, reference.pitch_hz)
         assert np.count_nonzero(reference.pitch_hz) > 0
 
 
