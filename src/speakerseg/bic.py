@@ -16,24 +16,26 @@ positive definite.
 Every score comes from one kernel, `_split_scores`. It scores the splits
 lo..hi of each window of a stack from running sums of the rows, centred
 at the window mean, and of their outer products (Cettolo & Vescovi,
-ICASSP 2003), and factors every covariance in one batched Cholesky call
-(`_log_dets`). `delta_bic` (and through it `verify_change`) is one split
-of a stack of one, `fixed_window_scores` the centre split of blocks of
-windows, and `_best_split` (also reached through `_refine_split`) every
-admissible split of a growing window. Batching changes no bit of a
-score: each window is summed and each matrix factored on its own. A
-sweep that starts at an earlier split adds the rows before b one by one
-where `delta_bic` multiplies them out, so the two scores of split b can
-differ in the last bits: on random windows, by at most about 3e-11 * n * d.
+ICASSP 2003). `_side_sums` sums the left side of every split and the
+whole window, a right side is the whole less its left side, and
+`_ml_log_dets` factors the covariances of the right sides, of the left
+sides and of the whole windows in one batched Cholesky call each.
+`delta_bic` (and through it `verify_change`) is one split of a stack of
+one, `fixed_window_scores` the centre split of blocks of windows, and
+`_best_split` (also reached through `_refine_split`) every admissible
+split of a growing window. Batching changes no bit of a score: each
+window is summed and each matrix factored on its own, so three calls
+give the log-determinants that one would. A sweep that starts at an
+earlier split adds the rows before b one by one where `delta_bic`
+multiplies them out, so the two scores of split b can differ in the
+last bits: on random windows, by at most about 3e-11 * n * d.
 
 Two sweep strategies emit multiple change points: a growing window that
 restarts at each accepted change, and a fixed-size window slid at a
 constant rate whose center-split score curve is peak-picked.
 
-Two rules here are shared with the pitch pipeline, which imports them:
-`_thin_peaks`, the greedy peak thinning of `detect_fixed` and of
-`pitch_seg.candidates`, and `_window_rows`, the rows of a verify window,
-which `verify_change` scores and `pitch_seg` computes MFCC rows for.
+`_thin_peaks`, the greedy peak thinning of `detect_fixed`, also thins
+the candidates of the pitch pipeline, which imports it.
 """
 
 from __future__ import annotations
@@ -156,48 +158,47 @@ def delta_bic(
 def _split_scores(windows: np.ndarray, lo: int, hi: int, lam: float, reg_epsilon: float):
     """delta_bic of each window of a (k, n, d) stack at every split lo..hi, as (k, hi - lo + 1).
 
-    Rows are centred at their window's mean. The left side at lo is one
-    product over rows[:lo], and each later split adds one row to it. The
-    whole window is the left side at hi plus one product over rows[hi:],
-    and a right side is the whole less the left side.
+    The centred copy of the stack is freed when _side_sums returns, before any side is
+    scored. Scoring a side overwrites its sums, so the right sides, whole less left, go first.
     """
-    k, n, d = windows.shape
-    m = hi - lo + 1
+    _, n, d = windows.shape
+    s_left, c_left, s_whole, c_whole = _side_sums(windows, lo, hi)
+    b = np.arange(lo, hi + 1)
+    right = _ml_log_dets(s_whole[:, None] - s_left, c_whole[:, None] - c_left, n - b, reg_epsilon)
+    left = _ml_log_dets(s_left, c_left, b, reg_epsilon)
+    whole = _ml_log_dets(s_whole, c_whole, n, reg_epsilon)
+    return 0.5 * n * whole[:, None] - 0.5 * b * left - 0.5 * (n - b) * right - penalty(d, n, lam)
+
+
+def _side_sums(windows: np.ndarray, lo: int, hi: int):
+    """Row sums and outer-product sums, (k, m, d) and (k, m, d, d), of the m = hi - lo + 1
+    left sides of a (k, n, d) stack, and (k, d) and (k, d, d) of the whole window.
+
+    Rows are centred at their window's mean. The left side at lo sums rows[:lo], each
+    later split adds one row, and the whole window is the left side at hi plus rows[hi:].
+    """
     centred = windows.copy()  # a copy, then in place: no ufunc buffers for strided windows
     centred -= centred.mean(axis=1, keepdims=True)
-    # Row sums and sums of row outer products, per window: the whole window
-    # (first rows[hi:] alone), the left sides at lo..hi, the right sides.
-    head = np.empty((k, 2, d, d))
-    np.matmul(np.swapaxes(centred[:, hi:], 1, 2), centred[:, hi:], out=head[:, 0])
-    np.matmul(np.swapaxes(centred[:, :lo], 1, 2), centred[:, :lo], out=head[:, 1])
-    s1 = np.empty((k, 2 * m + 1, d))
-    s1[:, 0] = centred[:, hi:].sum(axis=1)
-    s1[:, 1] = centred[:, :lo].sum(axis=1)
-    s1[:, 2 : m + 1] = centred[:, lo:hi]
-    del centred  # before covs, which is as large for a block of fixed windows
-    covs = np.empty((k, 2 * m + 1, d, d))
-    covs[:, :2] = head
-    del head  # before the subtraction below, which copies its operands when k > 1
-    added = s1[:, 2 : m + 1]
-    np.multiply(added[..., :, None], added[..., None, :], out=covs[:, 2 : m + 1])
-    left, right = slice(1, m + 1), slice(m + 1, None)
-    for sums in (s1, covs):
-        np.cumsum(sums[:, left], axis=1, out=sums[:, left])
-        sums[:, 0] += sums[:, m]
-        np.subtract(sums[:, :1], sums[:, left], out=sums[:, right])
-    # ML covariances: the sums of outer products less count * mean mean^T, over count.
-    b = np.arange(lo, hi + 1)
-    count = np.concatenate([[n], b, n - b])
-    mean = np.divide(s1, count[:, None], out=s1)
-    covs /= count[:, None, None]
-    covs -= mean[..., :, None] * mean[..., None, :]
-    log_dets = _log_dets(covs, reg_epsilon)
-    return (
-        0.5 * n * log_dets[:, :1]
-        - 0.5 * b * log_dets[:, left]
-        - 0.5 * (n - b) * log_dets[:, right]
-        - penalty(d, n, lam)
-    )
+    first, added, last = centred[:, :lo], centred[:, lo:hi], centred[:, hi:]
+    s_left = np.concatenate([first.sum(axis=1, keepdims=True), added], axis=1)
+    np.cumsum(s_left, axis=1, out=s_left)
+    c_left = np.empty((*s_left.shape, s_left.shape[-1]))
+    np.matmul(np.swapaxes(first, 1, 2), first, out=c_left[:, 0])
+    np.multiply(added[..., :, None], added[..., None, :], out=c_left[:, 1:])
+    np.cumsum(c_left, axis=1, out=c_left)
+    s_whole = last.sum(axis=1) + s_left[:, -1]
+    c_whole = np.swapaxes(last, 1, 2) @ last
+    c_whole += c_left[:, -1]
+    return s_left, c_left, s_whole, c_whole
+
+
+def _ml_log_dets(sums: np.ndarray, outer: np.ndarray, count, reg_epsilon: float) -> np.ndarray:
+    """_log_dets of the ML covariances of row sets of these counts; overwrites sums and outer."""
+    count = np.asarray(count)[..., None]  # broadcasts against sums
+    mean = np.divide(sums, count, out=sums)
+    outer /= count[..., None]
+    outer -= mean[..., :, None] * mean[..., None, :]
+    return _log_dets(outer, reg_epsilon)
 
 
 def _best_split(rows: np.ndarray, lam: float, reg_epsilon: float, min_b: int = 0):
@@ -349,13 +350,6 @@ def _thin_peaks(times: np.ndarray, values: np.ndarray, min_gap_s: float) -> list
     return sorted(kept)
 
 
-def _window_rows(times: np.ndarray, t: float, window_s: float) -> slice:
-    """The rows of increasing times that lie within window_s/2 of t."""
-    first = int(np.searchsorted(times, t - window_s / 2.0, side="left"))
-    stop = int(np.searchsorted(times, t + window_s / 2.0, side="right"))
-    return slice(first, stop)
-
-
 def verify_change(
     features: FeatureMatrix,
     t: float,
@@ -365,18 +359,19 @@ def verify_change(
 ) -> tuple[bool, float]:
     """Score a hypothesized change at time t over a centered window.
 
-    Takes the rows within [t - window_s/2, t + window_s/2], splits at the
-    row nearest t and returns (accepted, score). Insufficient rows on
-    either side verify negatively with a -inf sentinel rather than
+    Takes the rows whose times lie within [t - window_s/2, t + window_s/2],
+    splits at the row nearest t and returns (accepted, score). Insufficient
+    rows on either side verify negatively with a -inf sentinel rather than
     raising.
     """
     if not window_s > 0:
         raise PreconditionError("window_s must be positive")
-    span = _window_rows(features.times, t, window_s)
-    if span.start == span.stop:
+    first = int(np.searchsorted(features.times, t - window_s / 2.0, side="left"))
+    stop = int(np.searchsorted(features.times, t + window_s / 2.0, side="right"))
+    if first == stop:
         return False, -math.inf
-    rows = features.vectors[span]
-    b = int(np.argmin(np.abs(features.times[span] - t)))
+    rows = features.vectors[first:stop]
+    b = int(np.argmin(np.abs(features.times[first:stop] - t)))
     d = features.dim
     if b < d + 1 or len(rows) - b < d + 1:
         return False, -math.inf

@@ -16,11 +16,11 @@ samples it covers and sums them in hop-sized chunks; one matrix product
 gives each frame's whole chunks and its one partial chunk. AMDF takes
 |a - b| = 2 max(a, b) - a - b, with each frame's sums of a and b read
 off one running sum of the block. A lone frame (pitch_frame) is one
-chunk. The cepstrum transforms each frame of a block separately,
-framed by `_frame_signal` as the track and the MFCC rows are. The
-blocks run one after another on the calling thread, so working memory
-is a few block-sized buffers and does not grow with the length of the
-recording; only the output does.
+hop of n samples. The cepstrum transforms each frame of a block
+separately, framed by `_frame_signal` as the track and the MFCC rows
+are. The blocks run one after another on the calling thread, so working
+memory is a few block-sized buffers and does not grow with the length
+of the recording; only the output does.
 
 Exactness. On anything load_wav returns (16-bit PCM, mono or stereo)
 every sample is a multiple of 2**-16 in [-1, 1]. Every AMDF pair value
@@ -144,10 +144,8 @@ def _lag_sums(seg: np.ndarray, n: int, hop: int, m: int, lags, pair) -> np.ndarr
     summed in hop-sized chunks by one product with (hop, 2) weights whose
     column 1 keeps only the first (n - tau) % hop values. Frame k's sum is
     its c = (n - tau) // hop whole chunks k .. k + c - 1 plus the partial
-    sum of chunk k + c. A lone frame is one chunk of n samples.
+    sum of chunk k + c. A lone frame (pitch_frame) is one hop of n samples.
     """
-    if m == 1:
-        hop = n
     n_chunks = m + n // hop  # covers seg, and the partial chunk of the last frame
     work = np.zeros(n_chunks * hop)
     chunks = work.reshape(n_chunks, hop)
@@ -288,7 +286,7 @@ def pitch_frame(frame, sample_rate_hz: int, cfg: PitchConfig | None = None) -> f
     if not np.all(np.isfinite(frame)):
         raise PreconditionError("frame samples must be finite")
     lo, hi = _frame_lags(len(frame), sample_rate_hz, cfg)
-    return float(_pitch_block(frame, len(frame), 1, 1, sample_rate_hz, cfg, lo, hi)[0])
+    return float(_pitch_block(frame, len(frame), len(frame), 1, sample_rate_hz, cfg, lo, hi)[0])
 
 
 def pitch_track(buffer: AudioBuffer, cfg: PitchConfig | None = None) -> PitchTrack:

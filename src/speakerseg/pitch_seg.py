@@ -12,12 +12,13 @@ Differences touching an unvoiced frame are zeroed: a silence boundary is
 not evidence of a speaker change.
 
 Candidates closer than min_gap_s are thinned by `bic._thin_peaks`, the
-rule `detect_fixed` thins its peaks by. MFCC rows are computed only over
-each candidate's verify window: `bic._window_rows` picks the window's
-rows of the whole recording's frame grid, as in `verify_change`, and
-`mfcc(..., rows)` computes just those, so the check sees exactly the
-rows, bits and frame times that an MFCC of the whole recording would
-give it.
+rule `detect_fixed` thins its peaks by. MFCC rows are computed only
+around each candidate: row k of the recording starts at k * hop / fs, so
+`mfcc(..., rows)` computes a few rows more than the verify window holds,
+and `verify_change` keeps the rows within the window, as it would of an
+MFCC of the whole recording. A row has the same bits and time whatever
+range computes it, so the check sees exactly what the whole recording's
+MFCC would give it.
 
 `build_method` turns a method name and the `RunConfig` tree into a
 segmenter callable, for this pipeline and for the two BIC sweeps alike;
@@ -32,8 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio_io import AudioBuffer, _frame_signal
-from .bic import BicConfig, _thin_peaks, _window_rows, detect_fixed, detect_growing, verify_change
+from .audio_io import AudioBuffer
+from .bic import BicConfig, _thin_peaks, detect_fixed, detect_growing, verify_change
 from .errors import FormatError, PreconditionError
 from .evaluation import ChangePointSet
 from .features import MfccConfig, mfcc
@@ -147,12 +148,13 @@ def segment(buffer: AudioBuffer, cfg: PitchSegConfig | None = None) -> Segmentat
     corrected = gamma_correct(pitch_diff(track), cfg.gamma)
     cand_times = candidates(corrected, track.times, cfg.threshold_coef, cfg.min_gap_s)
 
-    _, times = _frame_signal(
-        buffer.samples, buffer.sample_rate_hz, cfg.mfcc.window_len, cfg.mfcc.hop
-    )
+    row_s = cfg.mfcc.hop / buffer.sample_rate_hz
+    half = cfg.verify_window_s / 2
     accepted: list[float] = []
     for t in cand_times:
-        features = mfcc(buffer, cfg.mfcc, _window_rows(times, t, cfg.verify_window_s))
+        # A superset of the window's rows; verify_change keeps the exact ones.
+        rows = slice(max(0, int((t - half) / row_s) - 1), int((t + half) / row_s) + 2)
+        features = mfcc(buffer, cfg.mfcc, rows)
         ok, _score = verify_change(
             features, t, cfg.verify_window_s, cfg.bic.lam, cfg.bic.reg_epsilon
         )

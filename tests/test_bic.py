@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from speakerseg.audio_io import load_wav
 from speakerseg.bic import (
@@ -49,6 +50,46 @@ def scalar_delta_bic(rows, b, lam, eps=1e-6):
     d = len(rows[0])
     pen = 0.5 * lam * (d + 0.5 * d * (d + 1)) * math.log(n)
     return 0.5 * n * log_z - 0.5 * bn * log_x - 0.5 * yn * log_y - pen
+
+
+def interleaved_split_scores(windows, lo, hi, lam, reg_epsilon):
+    """The scoring kernel as it was before the left sides, the whole window
+    and the right sides became three arrays: one (k, 2m + 1, d, d) stack
+    [whole | left lo..hi | right lo..hi], summed on overlapping views."""
+    k, n, d = windows.shape
+    m = hi - lo + 1
+    centred = windows.copy()
+    centred -= centred.mean(axis=1, keepdims=True)
+    head = np.empty((k, 2, d, d))
+    np.matmul(np.swapaxes(centred[:, hi:], 1, 2), centred[:, hi:], out=head[:, 0])
+    np.matmul(np.swapaxes(centred[:, :lo], 1, 2), centred[:, :lo], out=head[:, 1])
+    s1 = np.empty((k, 2 * m + 1, d))
+    s1[:, 0] = centred[:, hi:].sum(axis=1)
+    s1[:, 1] = centred[:, :lo].sum(axis=1)
+    s1[:, 2 : m + 1] = centred[:, lo:hi]
+    covs = np.empty((k, 2 * m + 1, d, d))
+    covs[:, :2] = head
+    added = s1[:, 2 : m + 1]
+    np.multiply(added[..., :, None], added[..., None, :], out=covs[:, 2 : m + 1])
+    left, right = slice(1, m + 1), slice(m + 1, None)
+    for sums in (s1, covs):
+        np.cumsum(sums[:, left], axis=1, out=sums[:, left])
+        sums[:, 0] += sums[:, m]
+        np.subtract(sums[:, :1], sums[:, left], out=sums[:, right])
+    b = np.arange(lo, hi + 1)
+    count = np.concatenate([[n], b, n - b])
+    mean = np.divide(s1, count[:, None], out=s1)
+    covs /= count[:, None, None]
+    covs -= mean[..., :, None] * mean[..., None, :]
+    np.einsum("...ii->...i", covs)[...] += reg_epsilon
+    chol = np.linalg.cholesky(covs)
+    log_dets = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+    return (
+        0.5 * n * log_dets[:, :1]
+        - 0.5 * b * log_dets[:, left]
+        - 0.5 * (n - b) * log_dets[:, right]
+        - penalty(d, n, lam)
+    )
 
 
 def two_cluster_features(n_per_side=500, d=13, gap=5.0, seed=42, hop_s=0.01):
@@ -292,6 +333,11 @@ class TestVerifyChange:
         assert not ok
         assert score == -math.inf
 
+    def test_no_rows_in_window(self):
+        # Rows 0.00 .. 1.99 s; the window around 5 s holds none of them.
+        ok, score = verify_change(stationary_features(n=200), 5.0, 0.4)
+        assert (ok, score) == (False, -math.inf)
+
     def test_window_must_be_positive(self):
         with pytest.raises(PreconditionError):
             verify_change(stationary_features(), 1.0, 0.0)
@@ -450,6 +496,24 @@ class TestBatchedKernel:
                 for b in range(lo, hi + 1):
                     want = scalar_delta_bic(rows, b, lam)
                     assert got[w, b - lo] == pytest.approx(want, abs=1e-8)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_bits_as_interleaved_kernel(self, seed):
+        rng = np.random.default_rng(5000 + seed)
+        for _ in range(40):
+            k = int(rng.integers(1, 40))
+            d = int(rng.integers(1, 14))
+            n = int(rng.integers(2 * d + 2, 2 * d + 120))
+            lo = int(rng.integers(1, n))
+            hi = int(rng.integers(lo, n))
+            rows = rng.normal(0.0, 1.0, (n + 3 * k, d)) * rng.uniform(0.1, 10.0, d)
+            rows[rng.integers(0, len(rows)) :] += rng.uniform(-3.0, 3.0, d)
+            # Overlapping windows three rows apart, as fixed_window_scores views them.
+            windows = np.swapaxes(sliding_window_view(rows, n, axis=0)[::3][:k], 1, 2)
+            lam = float(rng.uniform(0.0, 2.0))
+            eps = float(10.0 ** rng.uniform(-8, -3))
+            got = _split_scores(windows, lo, hi, lam, eps)
+            assert np.array_equal(got, interleaved_split_scores(windows, lo, hi, lam, eps))
 
     @settings(max_examples=40, deadline=None)
     @given(

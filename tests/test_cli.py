@@ -269,6 +269,62 @@ class TestSegmentCommand:
         assert list(tmp_path.iterdir()) == []
 
 
+# `synth` arguments of two small fixtures; at noise 0.08 the pitch
+# pipeline rejects candidates.
+GOLDEN_FIXTURES = {
+    "clean-16k": "--speakers 3 --seconds 4 --rate 16000 --noise 0.01 --seed 7",
+    "noisy-8k": "--speakers 4 --seconds 4 --noise 0.08 --seed 3",
+}
+
+# (change points, candidates examined, candidates rejected) of each
+# `segment --json` run; the segments follow from the change points.
+GOLDEN_SEGMENTS = {
+    ("clean-16k", "pitch"): ([3.985, 7.985], 2, 0),
+    ("clean-16k", "bic-grow"): ([3.995, 7.995], 2, 0),
+    ("clean-16k", "bic-fixed"): ([4.0, 8.0], 2, 0),
+    ("noisy-8k", "pitch"): ([3.995], 6, 5),
+    ("noisy-8k", "bic-grow"): ([3.99, 8.0, 11.99], 3, 0),
+    ("noisy-8k", "bic-fixed"): ([4.0, 8.0, 12.0], 3, 0),
+}
+
+
+@pytest.fixture(scope="module")
+def golden_wavs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    wavs = {}
+    for name, args in GOLDEN_FIXTURES.items():
+        wavs[name] = root / f"{name}.wav"
+        synth = ["synth", "--out", str(wavs[name]), "--ref-out", str(root / f"{name}.txt")]
+        assert main(synth + args.split()) == EXIT_OK
+    return wavs
+
+
+@pytest.mark.parametrize(
+    "fixture, method", GOLDEN_SEGMENTS, ids=[f"{f}-{m}" for f, m in GOLDEN_SEGMENTS]
+)
+def test_segment_json_golden(fixture, method, golden_wavs, tmp_path):
+    """Every field of `segment --json` but the wall time, as recorded."""
+    wav = golden_wavs[fixture]
+    js = tmp_path / "result.json"
+    out = tmp_path / "cp.txt"
+    args = ["segment", str(wav), "--method", method, "--out", str(out), "--json", str(js)]
+    assert main(args) == EXIT_OK
+    payload = json.loads(js.read_text())
+    assert payload.pop("wall_time_s") > 0
+    points, examined, rejected = GOLDEN_SEGMENTS[fixture, method]
+    duration = {"clean-16k": 12.0, "noisy-8k": 16.0}[fixture]
+    bounds = [0.0, *points, duration]
+    assert payload == {
+        "method": method,
+        "audio": str(wav),
+        "change_points_s": points,
+        "segments": [[a, b] for a, b in zip(bounds, bounds[1:])],
+        "candidates_examined": examined,
+        "candidates_rejected": rejected,
+    }
+    assert [float(line) for line in out.read_text().split()] == points
+
+
 class TestEvaluateCommand:
     def test_identical_files(self, synth_files, capsys):
         _, ref = synth_files
@@ -317,6 +373,23 @@ class TestBenchCommand:
         code = main(["bench", str(wav), str(ref), "--methods", "pitch", "--out", str(out)])
         assert code == EXIT_OK
         assert out.read_text().splitlines()[0] == "method,fd,fr,f,wall_time_s"
+
+    def test_failing_method_is_an_empty_row(self, synth_files, tmp_path, capsys):
+        # n_ini below 2(d + 1) = 28 rows makes detect_growing raise, so
+        # there is no speedup column.
+        wav, ref = synth_files
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_ini = 20\n")
+        out = tmp_path / "bench.csv"
+        args = ["bench", str(wav), str(ref), "--config", str(cfg), "--out", str(out)]
+        assert main(args) == EXIT_OK
+        header, pitch_row, grow_row = out.read_text().splitlines()
+        assert header == "method,fd,fr,f,wall_time_s"
+        assert pitch_row.startswith("pitch,0.0000,0.0000,1.0000,")
+        assert re.fullmatch(r"bic-grow,,,,\d+\.\d{3}", grow_row)
+        err = capsys.readouterr().err
+        assert "bic-grow: failed: n_ini must hold" in err
+        assert "speedup" not in err
 
 
 class TestSynthCommand:

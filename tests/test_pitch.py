@@ -342,6 +342,23 @@ class TestPitchTrack:
             )
             assert np.array_equal(track.pitch_hz, per_frame)
 
+    def test_last_block_of_one_frame_matches_per_frame(self):
+        # Blocks of 512, 512 and 1 frames at the default 8 kHz geometry. The
+        # last block sums its frame in hop-sized chunks, pitch_frame in one.
+        block = pitch._BLOCK_SAMPLES // 80
+        n_samples = 2 * block * 80 + 240
+        rng = np.random.default_rng(12)
+        samples = pcm16(harmonic_tone(150, 8000, n_samples) + rng.normal(0, 0.02, n_samples))
+        for method in METHODS:
+            cfg = PitchConfig(method=method)
+            track = pitch_track(buffer_from(samples), cfg)
+            assert len(track) == 2 * block + 1
+            per_frame = [
+                pitch_frame(samples[k * 80 : k * 80 + 240], 8000, cfg) for k in range(len(track))
+            ]
+            assert np.array_equal(track.pitch_hz, per_frame)
+            assert track.pitch_hz[-1] > 0
+
     # (fs, frame_len_s): the default geometry; a frame of 134 samples, not
     # a multiple of the 80-sample hop, whose longest lag 133 leaves no
     # right AMDF neighbor (hi + 1 == n); and a 16 kHz frame of 400
