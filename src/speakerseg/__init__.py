@@ -2,9 +2,10 @@
 
 Two families of segmenters over WAV audio: BIC-scored Gaussian window
 sweeps on MFCC features (growing and fixed-size variants), and a fast
-pitch-jump pipeline (pitch track, gamma-corrected derivative, threshold,
-BIC verification of candidates). Includes evaluation metrics, a method
-benchmark harness, and a deterministic synthetic fixture generator.
+pitch-jump pipeline (pitch track, derivative, one threshold that folds in
+the paper's gamma correction, BIC verification of candidates). Includes
+evaluation metrics, a method benchmark harness, and a deterministic
+synthetic fixture generator.
 """
 
 from .audio_io import AudioBuffer, load_wav, write_wav
@@ -41,7 +42,6 @@ from .pitch_seg import (
     SegmentationResult,
     build_method,
     candidates,
-    gamma_correct,
     pitch_diff,
     segment,
 )
@@ -80,7 +80,6 @@ __all__ = [
     "fd_rate",
     "fit_gaussian",
     "fr_rate",
-    "gamma_correct",
     "load_wav",
     "match_points",
     "mfcc",

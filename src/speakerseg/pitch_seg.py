@@ -1,12 +1,14 @@
 """Rapid segmentation driven by jumps in the pitch track.
 
 The pipeline: per-frame pitch estimates, absolute first differences of
-the track, power-law (gamma) correction of the normalized differences,
-thresholding against a fraction of the corrected maximum, then a
-statistical double-check of each surviving candidate with a small
-centered BIC window. Gamma < 1 lifts small differences toward the
-threshold, trading missed changes for false alarms that the BIC check
-then removes.
+the track, a threshold at threshold_coef ** (1 / gamma) times the
+largest difference, then a statistical double-check of each surviving
+candidate with a small centered BIC window. The threshold is the paper's
+gamma correction folded in: a difference x normalized by the largest
+has x**gamma > threshold_coef exactly when x > threshold_coef ** (1 /
+gamma), and the power keeps the order that runs and thinning rank by.
+Gamma < 1 lowers the threshold, trading missed changes for false alarms
+that the BIC check then removes.
 
 Differences touching an unvoiced frame are zeroed: a silence boundary is
 not evidence of a speaker change.
@@ -36,7 +38,7 @@ import numpy as np
 from .audio_io import AudioBuffer
 from .bic import BicConfig, _thin_peaks, detect_fixed, detect_growing, verify_change
 from .errors import FormatError, PreconditionError
-from .evaluation import ChangePointSet
+from .evaluation import DEFAULT_TOLERANCE_S, ChangePointSet
 from .features import MfccConfig, mfcc
 from .pitch import PitchConfig, PitchTrack, pitch_track
 
@@ -55,8 +57,12 @@ class PitchSegConfig:
         if not 0.0 < self.threshold_coef <= 1.0:
             raise ValueError("threshold_coef must lie in (0, 1]")
         # Written so that NaN fails each check.
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
+        if not 0 < self.gamma < np.inf:
+            raise ValueError("gamma must be positive and finite")
+        # segment thresholds at this fraction of the largest jump; where it
+        # rounds to 0 or 1 the folded threshold differs from the paper's.
+        if self.threshold_coef < 1 and not 0 < self.threshold_coef ** (1 / self.gamma) < 1:
+            raise ValueError("threshold_coef ** (1 / gamma) must lie strictly between 0 and 1")
         if not self.verify_window_s > 0:
             raise ValueError("verify_window_s must be positive")
         if not self.min_gap_s >= 0:
@@ -92,28 +98,13 @@ def pitch_diff(track: PitchTrack) -> np.ndarray:
     return np.where(voiced_pair, diffs, 0.0)
 
 
-def gamma_correct(diff, gamma: float) -> np.ndarray:
-    """Normalize by the sequence maximum, then map x to x**gamma.
-
-    All-zero input stays all-zero. With gamma < 1 small normalized values
-    are lifted while 1.0 stays fixed; a scale factor would cancel in candidates().
-    """
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
-    diff = np.asarray(diff, dtype=np.float64)
-    peak = diff.max(initial=0.0)
-    if peak <= 0.0:
-        return np.zeros_like(diff)
-    return (diff / peak) ** gamma
-
-
 def candidates(
-    corrected,
+    diff,
     times,
     threshold_coef: float,
     min_gap_s: float,
 ) -> list[float]:
-    """Candidate change times from the corrected difference sequence.
+    """Candidate change times from the pitch difference sequence.
 
     The threshold is threshold_coef times the sequence maximum; strictly
     super-threshold runs collapse to their maximum entry (earlier index
@@ -123,19 +114,19 @@ def candidates(
     """
     if not 0.0 < threshold_coef <= 1.0:
         raise ValueError("threshold_coef must lie in (0, 1]")
-    corrected = np.asarray(corrected, dtype=np.float64)
+    diff = np.asarray(diff, dtype=np.float64)
     times = np.asarray(times, dtype=np.float64)
-    if len(corrected) != len(times) - 1:
-        raise ValueError("need one corrected value per consecutive frame pair")
-    if corrected.size == 0:
+    if len(diff) != len(times) - 1:
+        raise ValueError("need one difference per consecutive frame pair")
+    if diff.size == 0:
         return []
-    above = corrected > threshold_coef * corrected.max()
+    above = diff > threshold_coef * diff.max()
     # Each run of super-threshold entries starts at a rising edge of
     # above and stops at a falling one.
     edges = np.flatnonzero(np.diff(np.r_[0, above, 0])).reshape(-1, 2)
-    peaks = np.array([a + int(np.argmax(corrected[a:z])) for a, z in edges], dtype=int)
+    peaks = np.array([a + int(np.argmax(diff[a:z])) for a, z in edges], dtype=int)
     midpoints = 0.5 * (times[peaks] + times[peaks + 1])
-    return [t for t, _ in _thin_peaks(midpoints, corrected[peaks], min_gap_s)]
+    return [t for t, _ in _thin_peaks(midpoints, diff[peaks], min_gap_s)]
 
 
 def segment(buffer: AudioBuffer, cfg: PitchSegConfig | None = None) -> SegmentationResult:
@@ -145,8 +136,8 @@ def segment(buffer: AudioBuffer, cfg: PitchSegConfig | None = None) -> Segmentat
         raise PreconditionError("audio shorter than the verification window")
     start = time.perf_counter()
     track = pitch_track(buffer, cfg.pitch)
-    corrected = gamma_correct(pitch_diff(track), cfg.gamma)
-    cand_times = candidates(corrected, track.times, cfg.threshold_coef, cfg.min_gap_s)
+    fraction = cfg.threshold_coef ** (1 / cfg.gamma)
+    cand_times = candidates(pitch_diff(track), track.times, fraction, cfg.min_gap_s)
 
     row_s = cfg.mfcc.hop / buffer.sample_rate_hz
     half = cfg.verify_window_s / 2
@@ -192,7 +183,7 @@ class RunConfig:
     """Root of the config tree: the method, the evaluation settings and every tunable."""
 
     method: str = "pitch"
-    tolerance_s: float = 0.5
+    tolerance_s: float = DEFAULT_TOLERANCE_S
     seed: int = 0
     seg: PitchSegConfig = field(default_factory=PitchSegConfig)
 

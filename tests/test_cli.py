@@ -118,6 +118,7 @@ class TestExitCodes:
         "setting",
         [
             "gamma = nan",
+            "gamma = inf",
             "verify_window_s = nan",
             "lambda = nan",
             "lambda = inf",
@@ -144,6 +145,13 @@ class TestExitCodes:
             cfg = tmp_path / "run.cfg"
             cfg.write_text(setting + "\n")
             assert main(["segment", str(wav), "--config", str(cfg)]) == EXIT_FORMAT
+
+    def test_threshold_rounding_to_zero_is_format_error(self, synth_files, tmp_path):
+        # The candidate threshold 0.7 ** (1 / 0.0001) underflows to 0.0.
+        wav, _ = synth_files
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gamma = 0.0001\n")
+        assert main(["segment", str(wav), "--config", str(cfg)]) == EXIT_FORMAT
 
     def test_malformed_ref_is_format_error(self, synth_files, tmp_path):
         wav, _ = synth_files

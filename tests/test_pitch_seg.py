@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, reject, settings
 from hypothesis import strategies as st
 
 from speakerseg import pitch_seg
@@ -11,8 +11,9 @@ from speakerseg.features import mfcc
 from speakerseg.pitch import PitchConfig, PitchTrack, pitch_track
 from speakerseg.pitch_seg import (
     PitchSegConfig,
+    RunConfig,
+    build_method,
     candidates,
-    gamma_correct,
     pitch_diff,
     segment,
     segments_between,
@@ -46,9 +47,45 @@ def glide_buffer(f_a=150.0, f_b=156.0, fs=8000, dur=5.0, noise=0.01, seed=5):
 
 def raw_candidates(buffer, cfg):
     """The candidate times segment() verifies, before any is rejected."""
-    track = pitch_track(buffer, cfg.pitch)
-    corrected = gamma_correct(pitch_diff(track), cfg.gamma)
-    return candidates(corrected, track.times, cfg.threshold_coef, cfg.min_gap_s)
+    return passed_on(pitch_track(buffer, cfg.pitch), cfg)
+
+
+def passed_on(track, cfg):
+    """The candidate list segment() builds when the pitch track is `track`.
+
+    pitch_track and candidates are replaced for the call; the recorded
+    list is not verified, so the audio is only a placeholder.
+    """
+    lists = []
+
+    def recording_candidates(*args):
+        lists.append(candidates(*args))
+        return []
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pitch_seg, "pitch_track", lambda buffer, pitch_cfg: track)
+        mp.setattr(pitch_seg, "candidates", recording_candidates)
+        segment(buffer_from(np.zeros(8000)), cfg)
+    assert len(lists) == 1
+    return lists[0]
+
+
+def gamma_correct(diff, gamma):
+    """The paper's gamma correction: normalize by the maximum, then map x
+    to x**gamma. Thresholding its output at threshold_coef is the
+    reference for segment()'s one threshold on the raw jumps."""
+    diff = np.asarray(diff, dtype=np.float64)
+    peak = diff.max(initial=0.0)
+    if peak <= 0.0:
+        return np.zeros_like(diff)
+    return (diff / peak) ** gamma
+
+
+def spikes_track(heights, hop_s=0.01):
+    """A pitch track whose jumps are `heights`, each between two zero jumps."""
+    steps = np.column_stack([heights, np.zeros(len(heights))]).ravel()
+    levels = 100.0 + np.cumsum(np.r_[0.0, steps])
+    return track_of(levels, hop_s)
 
 
 class TestPitchDiff:
@@ -67,42 +104,105 @@ class TestPitchDiff:
 
 
 class TestGammaCorrect:
+    """What the gamma key does to the candidates segment() passes on."""
+
     def test_all_zero_stays_zero(self):
-        assert np.all(gamma_correct(np.zeros(5), 0.3) == 0.0)
+        assert passed_on(track_of([220.0] * 10), PitchSegConfig()) == []
+        assert passed_on(track_of([0.0, 220.0, 0.0, 180.0]), PitchSegConfig()) == []
 
     def test_maximum_is_fixed_point(self):
-        out = gamma_correct([1.0, 2.0, 4.0], 0.3)
-        assert out[-1] == 1.0
-        out = gamma_correct([1.0, 2.0, 4.0], 0.9)
-        assert out[-1] == 1.0
+        track = track_of([100.0, 100.0, 200.0, 200.0, 190.0, 190.0])
+        for gamma in (0.3, 0.9, 1.0, 3.0):
+            got = passed_on(track, PitchSegConfig(gamma=gamma, min_gap_s=0.0))
+            assert pytest.approx(0.015) in got
 
     def test_half_power_value(self):
-        out = gamma_correct([0.5, 1.0], 0.3)
-        assert out[0] == pytest.approx(0.8122523963562356, abs=1e-12)
+        # 0.5 ** 0.3 = 0.81225...: a jump of half the maximum passes the
+        # corrected threshold 0.81 and not 0.82.
+        track = spikes_track([50.0, 100.0], hop_s=1.0)
+        assert len(passed_on(track, PitchSegConfig(threshold_coef=0.81, gamma=0.3))) == 2
+        assert len(passed_on(track, PitchSegConfig(threshold_coef=0.82, gamma=0.3))) == 1
 
     def test_identity_when_gamma_one(self):
-        values = np.array([0.2, 0.8, 1.0, 0.0])
-        assert np.allclose(gamma_correct(values, 1.0), values, atol=1e-12)
+        rng = np.random.default_rng(3)
+        track = track_of(rng.uniform(80.0, 300.0, 200))
+        cfg = PitchSegConfig(gamma=1.0)
+        expected = candidates(pitch_diff(track), track.times, cfg.threshold_coef, cfg.min_gap_s)
+        assert passed_on(track, cfg) == expected
 
     @given(
-        values=st.lists(st.floats(min_value=0, max_value=100), min_size=2, max_size=30),
+        heights=st.lists(st.floats(min_value=0.5, max_value=100), min_size=2, max_size=30),
         gamma=st.floats(min_value=0.1, max_value=0.99),
     )
     @settings(max_examples=40, deadline=None)
-    def test_monotone_and_lifting_below_one(self, values, gamma):
-        values = np.asarray(values)
-        out = gamma_correct(values, gamma)
-        order = np.argsort(values, kind="stable")
-        assert np.all(np.diff(out[order]) >= -1e-12)
-        if values.max() > 0:
-            normalized = values / values.max()
-            assert np.all(out >= normalized - 1e-12)
+    def test_monotone_and_lifting_below_one(self, heights, gamma):
+        track = spikes_track(heights)
+        times = passed_on(track, PitchSegConfig(gamma=gamma, min_gap_s=0.0))
+        linear = passed_on(track, PitchSegConfig(gamma=1.0, min_gap_s=0.0))
+        assert set(linear) <= set(times)
+        # Spike k's jump sits between frames 2k and 2k + 1.
+        jumps = pitch_diff(track)[::2]
+        kept = {int(round(t / 0.01 - 0.5)) // 2 for t in times}
+        lowest = min(jumps[k] for k in kept)
+        assert kept == {k for k, h in enumerate(jumps) if h >= lowest}
 
     def test_rejects_bad_params(self):
-        with pytest.raises(ValueError):
-            gamma_correct([1.0], 0.0)
-        with pytest.raises(ValueError):
-            gamma_correct([1.0], -1.0)
+        # 0.7 ** (1 / gamma) is 0.0 at the small values and 1.0 at the
+        # large ones, where the one threshold no longer equals the paper's.
+        for gamma in (1e-4, 4e-4, 1e16):
+            with pytest.raises(ValueError):
+                PitchSegConfig(threshold_coef=0.7, gamma=gamma)
+        # At threshold_coef 1 the fraction is 1.0 for every gamma, as before.
+        assert PitchSegConfig(threshold_coef=1.0, gamma=1e-4).gamma == 1e-4
+
+
+def near_ties(diff, fraction):
+    """Whether the paper's form and the folded one may round differently:
+    a jump within 1e-12 relative of the threshold, or two unequal jumps
+    within 1e-12 relative of each other, which the power may merge."""
+    values = np.unique(diff[diff > 0])
+    if values.size == 0:
+        return False
+    threshold = fraction * values[-1]
+    return bool(
+        np.any(np.abs(values - threshold) <= 1e-12 * threshold)
+        or np.any(np.diff(values) <= 1e-12 * values[1:])
+    )
+
+
+@st.composite
+def lag_tracks(draw):
+    """Pitch tracks fs / lag over the default search range, lag 0 unvoiced."""
+    fs = draw(st.sampled_from([8000, 16000]))
+    cfg = PitchConfig()
+    lag = st.integers(int(fs / cfg.max_hz), int(fs / cfg.min_hz))
+    lags = draw(st.lists(st.one_of(lag, st.just(0)), min_size=2, max_size=300))
+    pitch = [fs / k if k else 0.0 for k in lags]
+    return track_of(pitch, cfg.hop_s)
+
+
+class TestFoldedThreshold:
+    @given(
+        track=lag_tracks(),
+        gamma=st.one_of(st.sampled_from([0.2, 0.3, 0.5, 1.0]), st.floats(0.05, 5.0)),
+        threshold_coef=st.one_of(st.sampled_from([0.3, 0.5, 0.7, 0.9]), st.floats(0.05, 1.0)),
+        min_gap_s=st.sampled_from([0.0, 0.05, 0.5]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_segment_matches_gamma_corrected_reference(
+        self, track, gamma, threshold_coef, min_gap_s
+    ):
+        try:
+            cfg = PitchSegConfig(threshold_coef=threshold_coef, gamma=gamma, min_gap_s=min_gap_s)
+        except ValueError:  # the fraction rounds to 1.0; see TestGammaCorrect
+            event("skipped: outside the accepted domain")
+            reject()
+        diff = pitch_diff(track)
+        if near_ties(diff, threshold_coef ** (1 / gamma)):
+            event("skipped: near-tie draw")
+            reject()
+        expected = candidates(gamma_correct(diff, gamma), track.times, threshold_coef, min_gap_s)
+        assert passed_on(track, cfg) == expected
 
 
 def reference_candidates(corrected, times, threshold_coef, min_gap_s):
@@ -178,11 +278,10 @@ class TestCandidates:
 
     def test_scaling_invariance_through_pipeline(self):
         rng = np.random.default_rng(10)
-        diff = rng.uniform(0, 30, 200)
-        times = np.arange(201) * 0.01
-        base = candidates(gamma_correct(diff, 0.3), times, 0.7, 0.5)
-        scaled = candidates(gamma_correct(7.5 * diff, 0.3), times, 0.7, 0.5)
-        assert base == scaled
+        pitch = rng.uniform(80.0, 300.0, 201)
+        base = passed_on(track_of(pitch), PitchSegConfig())
+        scaled = passed_on(track_of(7.5 * pitch), PitchSegConfig())
+        assert base and base == scaled
 
 
 class TestSegment:
@@ -293,5 +392,51 @@ class TestConfigValidation:
             PitchSegConfig(threshold_coef=1.5)
 
     def test_gamma_domain(self):
-        with pytest.raises(ValueError):
-            PitchSegConfig(gamma=0.0)
+        for gamma in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                PitchSegConfig(gamma=gamma)
+
+    def test_small_gamma_keeps_its_change_points(self):
+        buffer, _ = synth_speakers(SynthSpec(n_speakers=6, duration_s=5.0, seed=42))
+        # The fraction 0.7 ** 1000 = 1.3e-155 is inside the domain; these are
+        # the change points the two-step correction found.
+        result = segment(buffer, PitchSegConfig(gamma=1e-3))
+        expected = [4.985, 9.985, 14.995000000000001, 19.985, 24.985]
+        assert result.change_points.times.tolist() == expected
+
+
+@pytest.fixture(scope="module")
+def appended_tail():
+    """30 s of speakers alternating 75 and 390 Hz, appended to each recording."""
+    buffer, _ = synth_speakers(
+        SynthSpec(n_speakers=6, duration_s=5.0, f0_hz=(75.0, 390.0), seed=42)
+    )
+    return buffer.samples
+
+
+class TestLocality:
+    # The join of the two parts is itself a true change (bic-grow finds it
+    # at 29.99 s), so only points a second or more before it are compared.
+    @pytest.mark.parametrize(
+        "method",
+        [
+            pytest.param(
+                "pitch",
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="ROADMAP item 3, step 2: the candidate threshold is a "
+                    "fraction of the whole recording's largest jump",
+                ),
+            ),
+            "bic-grow",
+            "bic-fixed",
+        ],
+    )
+    def test_appending_audio_keeps_earlier_change_points(self, method, appended_tail):
+        run = build_method(method, RunConfig())
+        for seed in (0, 1):
+            head, _ = synth_speakers(SynthSpec(n_speakers=6, duration_s=5.0, seed=seed))
+            joined = AudioBuffer(np.r_[head.samples, appended_tail], head.sample_rate_hz)
+            alone = run(head).change_points.times
+            within = run(joined).change_points.times
+            assert within[within < 29.0].tolist() == alone[alone < 29.0].tolist()
