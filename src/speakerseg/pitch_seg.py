@@ -25,7 +25,8 @@ MFCC would give it.
 `build_method` turns a method name and the `RunConfig` tree into a
 segmenter callable, for this pipeline and for the two BIC sweeps alike;
 all three read the same MFCC and BIC settings from `cfg.seg`, and build
-their `SegmentationResult` with `_result`.
+their `SegmentationResult` with `_result` from the change times and the
+candidates examined (a BIC sweep examines only the points it finds).
 """
 
 from __future__ import annotations
@@ -71,11 +72,21 @@ class PitchSegConfig:
 
 @dataclass(frozen=True)
 class SegmentationResult:
+    """What a run measured; its segments and rejected count are derived."""
+
     change_points: ChangePointSet
-    segments: list[tuple[float, float]]
+    duration_s: float
     candidates_examined: int
-    candidates_rejected: int
     wall_time_s: float
+
+    @property
+    def segments(self) -> list[tuple[float, float]]:
+        bounds = [0.0, *[float(t) for t in self.change_points.times], self.duration_s]
+        return list(zip(bounds, bounds[1:]))
+
+    @property
+    def candidates_rejected(self) -> int:
+        return self.candidates_examined - len(self.change_points)
 
     def to_dict(self) -> dict:
         return {
@@ -151,28 +162,14 @@ def segment(buffer: AudioBuffer, cfg: PitchSegConfig | None = None) -> Segmentat
         )
         if ok:
             accepted.append(t)
-    rejected = len(cand_times) - len(accepted)
-    return _result(accepted, buffer, len(cand_times), rejected, start)
+    return _result(accepted, buffer, len(cand_times), start)
 
 
-def _result(
-    times, buffer: AudioBuffer, examined: int, rejected: int, start: float
-) -> SegmentationResult:
-    """Result of a run that began at perf_counter() == start and found these change times."""
+def _result(times, buffer: AudioBuffer, examined: int, start: float) -> SegmentationResult:
+    """Result of a run that began at perf_counter() == start, examined this
+    many candidates and kept these change times."""
     wall = time.perf_counter() - start
-    points = ChangePointSet(np.asarray(times, dtype=np.float64))
-    return SegmentationResult(
-        change_points=points,
-        segments=segments_between(points, buffer.duration_s),
-        candidates_examined=examined,
-        candidates_rejected=rejected,
-        wall_time_s=wall,
-    )
-
-
-def segments_between(points: ChangePointSet, duration_s: float) -> list[tuple[float, float]]:
-    bounds = [0.0, *[float(t) for t in points.times], duration_s]
-    return [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
+    return SegmentationResult(ChangePointSet(times), buffer.duration_s, examined, wall)
 
 
 SEG_METHODS = ("pitch", "bic-grow", "bic-fixed")
@@ -210,7 +207,7 @@ def build_method(name: str, cfg: RunConfig):
         def run(buffer: AudioBuffer) -> SegmentationResult:
             start = time.perf_counter()
             points = detect(mfcc(buffer, cfg.seg.mfcc), cfg.seg.bic)
-            return _result([p.time_s for p in points], buffer, len(points), 0, start)
+            return _result([p.time_s for p in points], buffer, len(points), start)
 
         return run
     raise FormatError(f"unknown segmentation method {name!r}")

@@ -7,16 +7,17 @@ from speakerseg import pitch_seg
 from speakerseg.audio_io import AudioBuffer
 from speakerseg.bic import verify_change
 from speakerseg.errors import PreconditionError
+from speakerseg.evaluation import ChangePointSet
 from speakerseg.features import mfcc
 from speakerseg.pitch import PitchConfig, PitchTrack, pitch_track
 from speakerseg.pitch_seg import (
     PitchSegConfig,
     RunConfig,
+    SegmentationResult,
     build_method,
     candidates,
     pitch_diff,
     segment,
-    segments_between,
 )
 from speakerseg.synth import SynthSpec, synth_speakers
 
@@ -373,15 +374,12 @@ class TestSegment:
 
 class TestSegmentsBetween:
     def test_empty_points(self):
-        from speakerseg.evaluation import ChangePointSet
-
-        assert segments_between(ChangePointSet(np.array([])), 4.0) == [(0.0, 4.0)]
+        result = SegmentationResult(ChangePointSet(np.array([])), 4.0, 0, 0.0)
+        assert result.segments == [(0.0, 4.0)]
 
     def test_two_points(self):
-        from speakerseg.evaluation import ChangePointSet
-
-        got = segments_between(ChangePointSet(np.array([1.0, 2.5])), 4.0)
-        assert got == [(0.0, 1.0), (1.0, 2.5), (2.5, 4.0)]
+        result = SegmentationResult(ChangePointSet(np.array([1.0, 2.5])), 4.0, 2, 0.0)
+        assert result.segments == [(0.0, 1.0), (1.0, 2.5), (2.5, 4.0)]
 
 
 class TestConfigValidation:
