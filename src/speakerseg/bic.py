@@ -55,6 +55,11 @@ DEFAULT_REG_EPSILON = 1e-6
 # for one-second windows at a 5 ms hop. Larger blocks are no faster.
 _FIXED_BLOCK = 32
 
+# Seconds within which verify_change counts a row start as on a window
+# edge or on the hypothesized change: far above the rounding of a frame
+# time, far below any hop.
+_TIME_TOL_S = 1e-9
+
 
 @dataclass(frozen=True)
 class GaussianStats:
@@ -359,19 +364,20 @@ def verify_change(
 ) -> tuple[bool, float]:
     """Score a hypothesized change at time t over a centered window.
 
-    Takes the rows whose times lie within [t - window_s/2, t + window_s/2],
-    splits at the row nearest t and returns (accepted, score). Insufficient
-    rows on either side verify negatively with a -inf sentinel rather than
-    raising.
+    Takes the rows whose start times lie within [t - window_s/2 - tol,
+    t + window_s/2 + tol], splits before the first of them that starts at
+    or after t - tol, and returns (accepted, score); tol is _TIME_TOL_S,
+    so the rounding of a frame time cannot move a row across an edge or
+    the split. Insufficient rows on either side, or none, verify
+    negatively with a -inf sentinel rather than raising.
     """
     if not window_s > 0:
         raise PreconditionError("window_s must be positive")
-    first = int(np.searchsorted(features.times, t - window_s / 2.0, side="left"))
-    stop = int(np.searchsorted(features.times, t + window_s / 2.0, side="right"))
-    if first == stop:
-        return False, -math.inf
+    times = features.times
+    first = int(np.searchsorted(times, t - window_s / 2.0 - _TIME_TOL_S, side="left"))
+    stop = int(np.searchsorted(times, t + window_s / 2.0 + _TIME_TOL_S, side="right"))
     rows = features.vectors[first:stop]
-    b = int(np.argmin(np.abs(features.times[first:stop] - t)))
+    b = int(np.searchsorted(times[first:stop], t - _TIME_TOL_S, side="left"))
     d = features.dim
     if b < d + 1 or len(rows) - b < d + 1:
         return False, -math.inf

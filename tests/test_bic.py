@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from speakerseg.audio_io import load_wav
+from speakerseg import pitch_seg
+from speakerseg.audio_io import AudioBuffer, load_wav
 from speakerseg.bic import (
     BicConfig,
     GaussianStats,
@@ -341,6 +342,36 @@ class TestVerifyChange:
     def test_window_must_be_positive(self):
         with pytest.raises(PreconditionError):
             verify_change(stationary_features(), 1.0, 0.0)
+
+    @pytest.mark.parametrize("rate", [8000, 16000])
+    def test_scores_do_not_depend_on_where_the_recording_starts(self, rate, tmp_path):
+        # A pitch candidate is the midpoint of two pitch-frame starts: at 8 kHz
+        # it lies halfway between two MFCC rows, at 16 kHz on a row start, as
+        # do its window's edges. Dropping 0.1 s, whole pitch and MFCC hops,
+        # shifts every candidate and must leave each score's bits alone.
+        def verified(buffer):
+            calls = []
+
+            def recording_verify(features, t, *args):
+                ok, score = verify_change(features, t, *args)
+                calls.append((t, score))
+                return ok, score
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(pitch_seg, "verify_change", recording_verify)
+                pitch_seg.segment(buffer)
+            return calls
+
+        for seed in (0, 1):
+            spec = SynthSpec(
+                n_speakers=6, duration_s=5.0, noise_level=0.04, sample_rate_hz=rate, seed=seed
+            )
+            synth_to_files(spec, tmp_path / "r.wav", tmp_path / "r.txt")
+            buffer = load_wav(tmp_path / "r.wav")
+            whole = verified(buffer)
+            later = verified(AudioBuffer(buffer.samples[rate // 10 :], rate))
+            assert [round(t - 0.1, 6) for t, _ in whole] == [round(t, 6) for t, _ in later]
+            assert [s for _, s in whole] == [s for _, s in later]
 
 
 class TestConfig:
