@@ -4,7 +4,7 @@ from hypothesis import event, example, given, reject, settings
 from hypothesis import strategies as st
 
 from speakerseg import pitch_seg
-from speakerseg.audio_io import AudioBuffer
+from speakerseg.audio_io import AudioBuffer, load_wav
 from speakerseg.bic import verify_change
 from speakerseg.errors import PreconditionError
 from speakerseg.evaluation import ChangePointSet
@@ -19,7 +19,7 @@ from speakerseg.pitch_seg import (
     pitch_diff,
     segment,
 )
-from speakerseg.synth import SynthSpec, synth_speakers
+from speakerseg.synth import SynthSpec, synth_speakers, synth_to_files
 
 from conftest import buffer_from
 
@@ -401,6 +401,21 @@ class TestConfigValidation:
         result = segment(buffer, PitchSegConfig(gamma=1e-3))
         expected = [4.985, 9.985, 14.995000000000001, 19.985, 24.985]
         assert result.change_points.times.tolist() == expected
+
+
+class TestGain:
+    @pytest.mark.parametrize("method", ["pitch", "bic-grow", "bic-fixed"])
+    def test_halving_the_gain_keeps_change_points(self, method, tmp_path):
+        # load_wav samples are multiples of 2**-15, so halving them is exact.
+        run = build_method(method, RunConfig())
+        for seed, noise in ((0, 0.01), (1, 0.04)):
+            spec = SynthSpec(n_speakers=6, duration_s=5.0, noise_level=noise, seed=seed)
+            synth_to_files(spec, tmp_path / "r.wav", tmp_path / "r.txt")
+            buffer = load_wav(tmp_path / "r.wav")
+            quiet = AudioBuffer(buffer.samples / 2, buffer.sample_rate_hz)
+            points = run(buffer).change_points.times
+            assert len(points) > 0
+            assert run(quiet).change_points.times.tolist() == points.tolist()
 
 
 @pytest.fixture(scope="module")
