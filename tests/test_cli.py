@@ -174,7 +174,7 @@ class TestExitCodes:
         assert "seed" in err and "Traceback" not in err
         assert not (tmp_path / "s.wav").exists()
 
-    @pytest.mark.parametrize("methods", ["foo", "pitch,foo", "", " , "])
+    @pytest.mark.parametrize("methods", ["foo", "pitch,foo", "", " , ", "pitch,pitch"])
     def test_unknown_bench_method_is_usage_error(self, methods, synth_files, capsys):
         wav, ref = synth_files
         assert main(["bench", str(wav), str(ref), "--methods", methods]) == EXIT_USAGE
