@@ -55,9 +55,8 @@ DEFAULT_REG_EPSILON = 1e-6
 # for one-second windows at a 5 ms hop. Larger blocks are no faster.
 _FIXED_BLOCK = 32
 
-# Seconds within which verify_change counts a row start as on a window
-# edge or on the hypothesized change: far above the rounding of a frame
-# time, far below any hop.
+# verify_change's tolerance on row start times, in seconds: far above the
+# rounding of a frame time, far below any hop.
 _TIME_TOL_S = 1e-9
 
 
@@ -364,12 +363,10 @@ def verify_change(
 ) -> tuple[bool, float]:
     """Score a hypothesized change at time t over a centered window.
 
-    Takes the rows whose start times lie within [t - window_s/2 - tol,
-    t + window_s/2 + tol], splits before the first of them that starts at
-    or after t - tol, and returns (accepted, score); tol is _TIME_TOL_S,
-    so the rounding of a frame time cannot move a row across an edge or
-    the split. Insufficient rows on either side, or none, verify
-    negatively with a -inf sentinel rather than raising.
+    Takes the rows starting within t ± (window_s/2 + tol), splits before
+    the first that starts at or after t - tol (tol = _TIME_TOL_S) and
+    returns (accepted, score). Too few rows on either side, or none,
+    verify negatively with a -inf sentinel rather than raising.
     """
     if not window_s > 0:
         raise PreconditionError("window_s must be positive")

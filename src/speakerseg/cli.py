@@ -205,10 +205,7 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
 def cmd_bench(args, cfg: RunConfig) -> int:
     names = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not names or not set(names) <= set(SEG_METHODS) or len(set(names)) < len(names):
-        print(
-            f"error: --methods takes a comma list of distinct names from {', '.join(SEG_METHODS)}",
-            file=sys.stderr,
-        )
+        print(f"error: --methods takes unique names of {', '.join(SEG_METHODS)}", file=sys.stderr)
         return EXIT_USAGE
     buffer = load_wav(args.audio)
     reference = read_change_points(args.reference)

@@ -26,7 +26,8 @@ MFCC would give it.
 segmenter callable, for this pipeline and for the two BIC sweeps alike;
 all three read the same MFCC and BIC settings from `cfg.seg`, and build
 their `SegmentationResult` with `_result` from the change times and the
-candidates examined (a BIC sweep examines only the points it finds).
+candidates examined (a BIC sweep examines only the points it finds); the
+segments and the rejected count are derived from those.
 """
 
 from __future__ import annotations
@@ -72,8 +73,6 @@ class PitchSegConfig:
 
 @dataclass(frozen=True)
 class SegmentationResult:
-    """What a run measured; its segments and rejected count are derived."""
-
     change_points: ChangePointSet
     duration_s: float
     candidates_examined: int
@@ -166,8 +165,7 @@ def segment(buffer: AudioBuffer, cfg: PitchSegConfig | None = None) -> Segmentat
 
 
 def _result(times, buffer: AudioBuffer, examined: int, start: float) -> SegmentationResult:
-    """Result of a run that began at perf_counter() == start, examined this
-    many candidates and kept these change times."""
+    """The record of a run that began at perf_counter() == start."""
     wall = time.perf_counter() - start
     return SegmentationResult(ChangePointSet(times), buffer.duration_s, examined, wall)
 
