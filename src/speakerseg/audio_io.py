@@ -1,9 +1,14 @@
 """WAV loading, sample normalization and frame slicing.
 
 Only uncompressed 16-bit PCM RIFF/WAVE files are read, plain or as
-WAVE_FORMAT_EXTENSIBLE with the PCM subformat. Samples are scaled
-by 1/32768 so the amplitude domain is exactly [-1, 1); multi-channel audio
-is averaged down to mono. No resampling is performed anywhere: analysis
+WAVE_FORMAT_EXTENSIBLE with the PCM subformat. The samples stay integers:
+mono as int16, a view of the file's bytes, and k channels as their int32
+sum. They become float64 amplitudes only when a block of them is read
+(`AudioBuffer.span`), divided by 32768 or k * 32768, so the amplitude
+domain is exactly [-1, 1) and multi-channel audio is averaged to mono.
+For one or two channels each quotient is a multiple of 2**-16 and exact;
+for k channels it is fl(sum / k) * 2**-15, the bits of the float64 mean
+of the channels over 32768. No resampling is performed anywhere: analysis
 parameters given in seconds are converted to samples at the file rate.
 """
 
@@ -26,27 +31,57 @@ PCM_SUBFORMAT = bytes.fromhex("0100000000001000800000aa00389b71")
 STREAMED_SIZE = 0xFFFFFFFF
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AudioBuffer:
-    """Mono audio as float64 amplitudes in [-1, 1] plus its sample rate."""
+    """Mono audio as amplitudes in [-1, 1] plus its sample rate.
 
-    samples: np.ndarray
+    The amplitudes are held as data / divisor. `load_wav` keeps a PCM16
+    recording's integers, 2 bytes a sample for mono and 4 for the channel
+    sum, with divisor 32768 times the channel count; other input is held
+    as float64 with divisor 1. `span(start, stop, out)` converts one range
+    to float64, exactly for PCM16 data, into a new array or into out, and
+    `samples` converts all of it. The pitch track and `mfcc` convert one
+    block's span at a time, so a whole recording is never held as float64
+    unless a caller reads `samples`.
+    """
+
+    _data: np.ndarray
+    _divisor: float
     sample_rate_hz: int
 
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
-        object.__setattr__(self, "samples", samples)
-        if self.sample_rate_hz <= 0:
+    def __init__(self, samples, sample_rate_hz: int, divisor: float = 1.0):
+        data = np.asarray(samples)
+        if data.dtype.kind not in "iu":
+            data = data.astype(np.float64, copy=False)
+        if sample_rate_hz <= 0:
             raise ValueError("sample_rate_hz must be positive")
-        if samples.ndim != 1:
+        if not 0 < divisor < np.inf:
+            raise ValueError("divisor must be positive and finite")
+        if data.ndim != 1:
             raise ValueError("samples must be one-dimensional")
         # Written so that NaN, for which every comparison is false, fails.
-        if samples.size and not (np.min(samples) >= -1.0 and np.max(samples) <= 1.0):
+        if data.size and not (np.min(data) >= -divisor and np.max(data) <= divisor):
             raise ValueError("samples must be finite and lie in [-1.0, 1.0]")
+        object.__setattr__(self, "_data", data)
+        object.__setattr__(self, "_divisor", divisor)
+        object.__setattr__(self, "sample_rate_hz", sample_rate_hz)
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def span(self, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Amplitudes start:stop as float64: a new array, or the head of out."""
+        data = self._data[start:stop]
+        return np.divide(data, self._divisor, out=None if out is None else out[: len(data)])
+
+    @property
+    def samples(self) -> np.ndarray:
+        """All amplitudes as a new float64 array."""
+        return self.span(0, len(self))
 
     @property
     def duration_s(self) -> float:
-        return len(self.samples) / self.sample_rate_hz
+        return len(self) / self.sample_rate_hz
 
 
 def _read_chunks(data: bytes):
@@ -102,13 +137,10 @@ def load_wav(path) -> AudioBuffer:
 
     frame_bytes = 2 * n_channels
     usable = len(payload) - len(payload) % frame_bytes
-    raw = np.frombuffer(payload[:usable], dtype="<i2")
-    samples = raw.astype(np.float64)
-    if n_channels == 1:
-        samples /= PCM_SCALE
-    else:
-        samples = samples.reshape(-1, n_channels).mean(axis=1) / PCM_SCALE
-    return AudioBuffer(samples=samples, sample_rate_hz=int(sample_rate))
+    ints = np.frombuffer(payload[:usable], dtype="<i2")
+    if n_channels > 1:
+        ints = ints.reshape(-1, n_channels).sum(axis=1, dtype=np.int32)  # |sum| < 65536 * 32768
+    return AudioBuffer(ints, int(sample_rate), divisor=n_channels * PCM_SCALE)
 
 
 def write_wav(path, samples, sample_rate_hz: int) -> None:
@@ -124,26 +156,36 @@ def write_wav(path, samples, sample_rate_hz: int) -> None:
     Path(path).write_bytes(header + payload)
 
 
-def _frame_signal(
-    samples: np.ndarray, sample_rate_hz: int, window_len: int, hop: int,
+def _frame_grid(
+    n_samples: int, sample_rate_hz: int, window_len: int, hop: int,
     rows: slice = slice(None),
 ):
-    """Slice samples into complete analysis frames.
+    """The complete analysis frames of n_samples samples that rows selects.
 
-    Returns (frames, times): a read-only view of the frames that rows
-    selects, by default all n, frame k covering [k*hop, k*hop + window_len),
-    and their start times in seconds. Only the selected times are built.
-    Input shorter than one window yields zero frames; tail samples that do
-    not fill a full window are discarded.
+    Returns (frames, times): a range of frame indices, by default all n,
+    frame k covering [k*hop, k*hop + window_len), and their start times in
+    seconds. Only the selected times are built. Tail samples that do not
+    fill a full window are discarded.
     """
+    count = 0 if n_samples < window_len else (n_samples - window_len) // hop + 1
+    selected = rows.indices(count)
+    return range(*selected), np.arange(*selected) * (hop / sample_rate_hz)
+
+
+def _frame_signal(samples: np.ndarray, sample_rate_hz: int, window_len: int, hop: int):
+    """Slice float64 amplitudes into all their complete analysis frames.
+
+    Returns (frames, times): a read-only view of the frames of _frame_grid
+    and their start times in seconds. Input shorter than one window yields
+    zero frames. Integer PCM is refused: it is framed only after
+    `AudioBuffer.span` has scaled it.
+    """
+    if samples.dtype != np.float64:
+        raise PreconditionError(f"frames are cut from float64 amplitudes, not {samples.dtype}")
+    _, times = _frame_grid(len(samples), sample_rate_hz, window_len, hop)
     if len(samples) < window_len:
-        return (
-            np.empty((0, window_len), dtype=np.float64),
-            np.empty(0, dtype=np.float64),
-        )
-    windows = np.lib.stride_tricks.sliding_window_view(samples, window_len)[::hop]
-    times = np.arange(*rows.indices(len(windows))) * (hop / sample_rate_hz)
-    return windows[rows], times
+        return np.empty((0, window_len)), times
+    return np.lib.stride_tricks.sliding_window_view(samples, window_len)[::hop], times
 
 
 def plan_from_seconds(buffer: AudioBuffer, frame_len_s: float, hop_s: float) -> tuple[int, int]:

@@ -10,6 +10,12 @@ filter bank and the DCT are matrix products, both through `_product`, so
 a row's bits depend neither on its block nor on the range of the frame
 grid that `mfcc(..., rows)` computes. The pitch pipeline's verify step
 computes only each candidate's window of rows this way.
+
+Each block of rows converts only the samples it covers to float64
+(`AudioBuffer.span`, into one array that the blocks reuse) and frames
+them; the recording is never held whole as float64. On a PCM16 buffer from load_wav the conversion of each block
+has the bits of the whole recording's amplitudes (exact for one or two
+channels), so neither the block nor the row range shows in a row.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 import numpy.fft  # load it now; numpy would load it lazily, in the first transform
 
-from .audio_io import AudioBuffer, _frame_signal
+from .audio_io import AudioBuffer, _frame_grid, _frame_signal
 from .errors import PreconditionError
 from .pitch import next_pow2
 
@@ -162,10 +168,10 @@ def mfcc(
     bits whatever range computes it.
     """
     cfg = cfg or MfccConfig()
-    if len(buffer.samples) < cfg.window_len:
+    if len(buffer) < cfg.window_len:
         raise PreconditionError("audio shorter than one analysis window")
-    frames, times = _frame_signal(
-        buffer.samples, buffer.sample_rate_hz, cfg.window_len, cfg.hop, rows
+    frames, times = _frame_grid(
+        len(buffer), buffer.sample_rate_hz, cfg.window_len, cfg.hop, rows
     )
     nfft = next_pow2(cfg.window_len)
     window = _hamming(cfg.window_len)
@@ -173,12 +179,17 @@ def mfcc(
     dct = _dct_matrix(cfg.n_mel_filters)
     first = 0 if cfg.include_c0 else 1
     vectors = np.empty((len(frames), cfg.n_coeffs))
+    span = None  # the first block's samples; later blocks convert into it, as in pitch_track
     for start in range(0, len(frames), _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
-        magnitude = np.abs(np.fft.rfft(frames[block] * window, nfft, axis=1))
+        block = frames[start : start + _BLOCK_ROWS]
+        span = buffer.span(block[0] * cfg.hop, block[-1] * cfg.hop + cfg.window_len, span)
+        framed, _ = _frame_signal(
+            span, buffer.sample_rate_hz, cfg.window_len, block.step * cfg.hop
+        )
+        magnitude = np.abs(np.fft.rfft(framed * window, nfft, axis=1))
         log_energies = np.log(_product(magnitude, bank_t) + LOG_FLOOR)
         coeffs = _product(log_energies, dct)
-        vectors[block] = coeffs[:, first : first + cfg.n_coeffs]
+        vectors[start : start + _BLOCK_ROWS] = coeffs[:, first : first + cfg.n_coeffs]
     return FeatureMatrix(vectors=vectors, times=times)
 
 

@@ -12,7 +12,7 @@ from speakerseg.audio_io import (
     plan_from_seconds,
     write_wav,
 )
-from speakerseg.errors import UnsupportedWavError, WavFormatError
+from speakerseg.errors import PreconditionError, UnsupportedWavError, WavFormatError
 
 
 PCM_GUID = bytes.fromhex("0100000000001000800000aa00389b71")
@@ -98,7 +98,7 @@ class TestLoadWav:
         with pytest.raises(UnsupportedWavError):
             load_wav(path)
 
-    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("channels", [1, 2, 3])
     def test_extensible_pcm_loads_like_plain_pcm(self, tmp_path, channels):
         ints = [16384, -32768, 5, 0, -7, 32767]
         plain, ext = tmp_path / "plain.wav", tmp_path / "ext.wav"
@@ -109,6 +109,10 @@ class TestLoadWav:
         assert len(got.samples) == len(ints) // channels
         assert np.array_equal(got.samples, want.samples)
         assert got.sample_rate_hz == want.sample_rate_hz
+        # Bit for bit the float mean of the channels over 32768, also for 3
+        # channels, whose divisor 3 * 32768 is no power of two.
+        mean = np.array(ints).reshape(-1, channels).mean(axis=1) / 32768
+        assert got.samples.tobytes() == mean.tobytes()
 
     def test_extensible_float_rejected(self, tmp_path):
         path = tmp_path / "ext_float.wav"
@@ -163,6 +167,14 @@ class TestAudioBuffer:
         buf = AudioBuffer(samples=np.zeros(4000), sample_rate_hz=8000)
         assert buf.duration_s == 0.5
 
+    def test_integers_over_divisor(self):
+        buf = AudioBuffer(np.array([16384, -32768, 3], dtype="<i2"), 8000, divisor=32768.0)
+        assert len(buf) == 3 and buf.duration_s == 3 / 8000
+        assert buf.samples.tolist() == [0.5, -1.0, 3 / 32768]
+        assert buf.span(1, 3).tolist() == [-1.0, 3 / 32768]
+        with pytest.raises(ValueError, match=r"lie in \[-1.0, 1.0\]"):
+            AudioBuffer(np.array([40000]), 8000, divisor=32768.0)
+
 
 class TestFrames:
     def test_frame_count_examples(self):
@@ -182,6 +194,10 @@ class TestFrames:
         assert rows.shape == (11, 200)
         for k in range(11):
             assert np.array_equal(rows[k], samples[k * 80 : k * 80 + 200])
+
+    def test_refuses_integer_pcm(self):
+        with pytest.raises(PreconditionError, match="float64"):
+            _frame_signal(np.zeros(1000, dtype="<i2"), 8000, 200, 80)
 
     def test_frame_times(self):
         _, times = _frame_signal(np.zeros(1000), 8000, 200, 80)

@@ -1,5 +1,6 @@
 """Working memory of the front ends, of the pitch pipeline and of both
-BIC sweeps does not grow with recording length.
+BIC sweeps does not grow with recording length, and loading a WAV costs
+its file bytes and no more.
 
 Working memory is the tracemalloc peak of one call less the bytes of the
 result it returns, whose size is proportional to the length by design.
@@ -12,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from speakerseg.audio_io import AudioBuffer
+from speakerseg.audio_io import AudioBuffer, load_wav, write_wav
 from speakerseg.bic import detect_fixed, detect_growing
 from speakerseg.features import FeatureMatrix, mfcc
 from speakerseg.pitch import pitch_track
@@ -34,20 +35,51 @@ def working_bytes(fn, buffer, result_bytes):
     return peak - result_bytes(result)
 
 
-@pytest.mark.parametrize(
-    "fn, result_bytes",
-    [
-        (pitch_track, lambda r: r.times.nbytes + r.pitch_hz.nbytes),
-        (mfcc, lambda r: r.times.nbytes + r.vectors.nbytes),
-    ],
-    ids=["pitch_track", "mfcc"],
-)
-def test_working_memory_bounded(fn, result_bytes):
+def track_bytes(track):
+    return track.times.nbytes + track.pitch_hz.nbytes
+
+
+def feature_bytes(features):
+    return features.times.nbytes + features.vectors.nbytes
+
+
+def noise_buffer(seconds, pcm16):
+    """Uniform noise in [-0.5, 0.5): float64, or PCM16 integers as load_wav keeps them."""
     rng = np.random.default_rng(0)
-    short = AudioBuffer(rng.uniform(-0.5, 0.5, 60 * FS), FS)
-    long = AudioBuffer(rng.uniform(-0.5, 0.5, 600 * FS), FS)
+    if pcm16:
+        return AudioBuffer(rng.integers(-16384, 16384, seconds * FS, dtype="<i2"), FS, 32768.0)
+    return AudioBuffer(rng.uniform(-0.5, 0.5, seconds * FS), FS)
+
+
+@pytest.mark.parametrize(
+    "fn, result_bytes, pcm16",
+    [
+        pytest.param(pitch_track, track_bytes, False, id="pitch_track"),
+        pytest.param(mfcc, feature_bytes, False, id="mfcc"),
+        # On top of the above: each block's samples converted to float64.
+        pytest.param(pitch_track, track_bytes, True, id="pitch_track-pcm16"),
+        pytest.param(mfcc, feature_bytes, True, id="mfcc-pcm16"),
+    ],
+)
+def test_working_memory_bounded(fn, result_bytes, pcm16):
+    short, long = noise_buffer(60, pcm16), noise_buffer(600, pcm16)
     growth = working_bytes(fn, long, result_bytes) - working_bytes(fn, short, result_bytes)
     assert growth < GROWTH_LIMIT_BYTES
+
+
+def test_load_wav_peak_is_the_file(tmp_path):
+    """A mono PCM16 file is kept as a view of its bytes: no float64 copy."""
+    path = tmp_path / "a.wav"
+    write_wav(path, np.random.default_rng(0).uniform(-0.5, 0.5, 60 * FS), FS)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        buffer = load_wav(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(buffer) == 60 * FS
+    assert peak <= size + 64 * 1024
 
 
 def test_segment_working_memory_bounded():

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from speakerseg import pitch
-from speakerseg.audio_io import load_wav
+from speakerseg.audio_io import AudioBuffer, load_wav
 from speakerseg.errors import PreconditionError
+from speakerseg.features import mfcc
 from speakerseg.pitch import (
     ACF,
     AMDF,
@@ -22,6 +23,8 @@ from speakerseg.pitch import (
     pitch_track,
     write_track_tsv,
 )
+from speakerseg.pitch_seg import SEG_METHODS, RunConfig, build_method
+from speakerseg.synth import SynthSpec, synth_speakers
 
 from conftest import buffer_from, harmonic_tone, sine
 
@@ -525,6 +528,44 @@ class TestAmdfExactAtFullScale:
         buf = self.squares(tmp_path, 8000, channels, 2 * pitch._BLOCK_SAMPLES + 4000)
         track = pitch_track(buf, cfg)
         assert len(calls) >= 3 and sum(calls) == len(track)
+
+
+class TestPcmBackedBuffer:
+    """A buffer that load_wav keeps as PCM16 integers gives every output
+    bit for bit the same as a float64 buffer of its samples."""
+
+    @pytest.mark.parametrize("fs, channels", [(8000, 1), (16000, 1), (8000, 2)])
+    def test_outputs_match_float_buffer(self, tmp_path, monkeypatch, fs, channels):
+        spec = SynthSpec(
+            n_speakers=3, duration_s=5.0, sample_rate_hz=fs, noise_level=0.02, seed=fs + channels
+        )
+        left = synth_speakers(spec)[0].samples
+        right = np.clip(0.6 * left + np.random.default_rng(channels).normal(0, 0.05, len(left)), -1, 1)
+        path = tmp_path / "x.wav"
+        write_pcm16_wav(path, [left, right][:channels], fs)
+        pcm = load_wav(path)
+        assert pcm._data.dtype.kind == "i"  # held as integers, converted per block
+        floats = AudioBuffer(pcm.samples, fs)
+        # The detectors hardly depend on scale, so compare the samples each
+        # block reads too, not only the track.
+        kernel, spans = pitch._pitch_block, []
+
+        def recorded_block(seg, *args):
+            spans.append(seg.copy())  # seg is a view of a buffer the next block reuses
+            return kernel(seg, *args)
+
+        monkeypatch.setattr(pitch, "_pitch_block", recorded_block)
+        tracks = [[pitch_track(buf, PitchConfig(method=m)).pitch_hz for m in METHODS]
+                  for buf in (pcm, floats)]
+        assert all(np.array_equal(got, want) for got, want in zip(*tracks))
+        half = len(spans) // 2
+        assert half > 3 and all(np.array_equal(a, b) for a, b in zip(spans[:half], spans[half:]))
+        for rows in (slice(None), slice(37, 1290)):
+            assert np.array_equal(mfcc(pcm, rows=rows).vectors, mfcc(floats, rows=rows).vectors)
+        for name in SEG_METHODS:
+            run = build_method(name, RunConfig())
+            got, want = run(pcm).change_points.times, run(floats).change_points.times
+            assert len(want) > 0 and np.array_equal(got, want), name
 
 
 class TestSineAccuracy:
