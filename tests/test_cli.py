@@ -363,6 +363,29 @@ class TestEvaluateCommand:
 
 
 class TestBenchCommand:
+    def test_golden_output(self, synth_files, tmp_path, capsys):
+        # Every byte except the timings: the wall_time_s and speedup cells
+        # and the wall=/speedup= values are masked as "T".
+        wav, ref = synth_files
+        out = tmp_path / "bench.csv"
+        methods = ["--methods", "pitch,bic-grow,bic-fixed", "--tolerance", "0.3"]
+        assert main(["bench", str(wav), str(ref), *methods, "--out", str(out)]) == EXIT_OK
+        csv = re.sub(rb"\d+\.\d{3},\d+\.\d{2}\n", b"T,T\n", out.read_bytes())
+        csv = re.sub(rb"\d+\.\d{3},\n", b"T,\n", csv)
+        assert csv == (
+            b"method,fd,fr,f,wall_time_s,speedup\n"
+            b"pitch,0.0000,0.0000,1.0000,T,T\n"
+            b"bic-grow,0.0000,0.0000,1.0000,T,\n"
+            b"bic-fixed,0.0000,0.0000,1.0000,T,\n"
+        )
+        err = re.sub(r"(wall=|speedup=)\d+\.\d+", r"\1T", capsys.readouterr().err)
+        assert err.splitlines() == [
+            "pitch: f=1.0000 wall=Ts",
+            "bic-grow: f=1.0000 wall=Ts",
+            "bic-fixed: f=1.0000 wall=Ts",
+            "speedup=T",
+        ]
+
     def test_two_methods_with_speedup(self, synth_files, tmp_path):
         wav, ref = synth_files
         out = tmp_path / "bench.csv"
@@ -384,20 +407,24 @@ class TestBenchCommand:
 
     def test_failing_method_is_an_empty_row(self, synth_files, tmp_path, capsys):
         # n_ini below 2(d + 1) = 28 rows makes detect_growing raise, so
-        # there is no speedup column.
+        # there is no speedup column, whether bic-grow runs first or last.
         wav, ref = synth_files
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n_ini = 20\n")
         out = tmp_path / "bench.csv"
-        args = ["bench", str(wav), str(ref), "--config", str(cfg), "--out", str(out)]
-        assert main(args) == EXIT_OK
-        header, pitch_row, grow_row = out.read_text().splitlines()
-        assert header == "method,fd,fr,f,wall_time_s"
-        assert pitch_row.startswith("pitch,0.0000,0.0000,1.0000,")
-        assert re.fullmatch(r"bic-grow,,,,\d+\.\d{3}", grow_row)
-        err = capsys.readouterr().err
-        assert "bic-grow: failed: n_ini must hold" in err
-        assert "speedup" not in err
+        for order in ("pitch,bic-grow", "bic-grow,pitch"):
+            args = ["bench", str(wav), str(ref), "--config", str(cfg), "--out", str(out)]
+            assert main([*args, "--methods", order]) == EXIT_OK
+            header, *rows = out.read_text().splitlines()
+            assert header == "method,fd,fr,f,wall_time_s"
+            assert [row.split(",")[0] for row in rows] == order.split(",")
+            pitch_row, grow_row = sorted(rows, key=lambda row: row.startswith("bic"))
+            assert re.fullmatch(r"pitch,0\.0000,0\.0000,1\.0000,\d+\.\d{3}", pitch_row)
+            assert re.fullmatch(r"bic-grow,,,,\d+\.\d{3}", grow_row)
+            err = capsys.readouterr().err
+            assert "bic-grow: failed: n_ini must hold" in err
+            assert "pitch: f=1.0000 wall=" in err
+            assert "speedup" not in err
 
 
 class TestSynthCommand:
