@@ -4,8 +4,7 @@ Two families of segmenters over WAV audio: BIC-scored Gaussian window
 sweeps on MFCC features (growing and fixed-size variants), and a fast
 pitch-jump pipeline (pitch track, derivative, one threshold that folds in
 the paper's gamma correction, BIC verification of candidates). Includes
-evaluation metrics, a method benchmark harness, and a deterministic
-synthetic fixture generator.
+evaluation metrics and a deterministic synthetic fixture generator.
 """
 
 from .audio_io import AudioBuffer, load_wav, write_wav
@@ -24,7 +23,6 @@ from .errors import FormatError, PreconditionError, UnsupportedWavError, WavForm
 from .evaluation import (
     ChangePointSet,
     EvalReport,
-    benchmark,
     evaluate,
     f_measure,
     fd_rate,
@@ -69,7 +67,6 @@ __all__ = [
     "SynthSpec",
     "UnsupportedWavError",
     "WavFormatError",
-    "benchmark",
     "build_method",
     "candidates",
     "delta_bic",

@@ -144,8 +144,18 @@ def load_wav(path) -> AudioBuffer:
 
 
 def write_wav(path, samples, sample_rate_hz: int) -> None:
-    """Write float amplitudes as mono 16-bit PCM, clipping into range."""
+    """Write float amplitudes as mono 16-bit PCM, clipping into range.
+
+    Raises ValueError, before anything is written, for a rate that is not
+    positive, samples that are not one-dimensional or not finite.
+    """
     samples = np.asarray(samples, dtype=np.float64)
+    if sample_rate_hz <= 0:
+        raise ValueError("sample_rate_hz must be positive")
+    if samples.ndim != 1:
+        raise ValueError("samples must be one-dimensional")
+    if not np.isfinite(samples).all():
+        raise ValueError("samples must be finite")
     ints = np.clip(np.rint(samples * PCM_SCALE), -32768, 32767).astype("<i2")
     payload = ints.tobytes()
     header = b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
@@ -172,20 +182,18 @@ def _frame_grid(
     return range(*selected), np.arange(*selected) * (hop / sample_rate_hz)
 
 
-def _frame_signal(samples: np.ndarray, sample_rate_hz: int, window_len: int, hop: int):
+def _frame_signal(samples: np.ndarray, window_len: int, hop: int) -> np.ndarray:
     """Slice float64 amplitudes into all their complete analysis frames.
 
-    Returns (frames, times): a read-only view of the frames of _frame_grid
-    and their start times in seconds. Input shorter than one window yields
-    zero frames. Integer PCM is refused: it is framed only after
-    `AudioBuffer.span` has scaled it.
+    Returns a read-only view of the frames of _frame_grid. Input shorter
+    than one window yields zero frames. Integer PCM is refused: it is
+    framed only after `AudioBuffer.span` has scaled it.
     """
     if samples.dtype != np.float64:
         raise PreconditionError(f"frames are cut from float64 amplitudes, not {samples.dtype}")
-    _, times = _frame_grid(len(samples), sample_rate_hz, window_len, hop)
     if len(samples) < window_len:
-        return np.empty((0, window_len)), times
-    return np.lib.stride_tricks.sliding_window_view(samples, window_len)[::hop], times
+        return np.empty((0, window_len))
+    return np.lib.stride_tricks.sliding_window_view(samples, window_len)[::hop]
 
 
 def plan_from_seconds(buffer: AudioBuffer, frame_len_s: float, hop_s: float) -> tuple[int, int]:

@@ -1,5 +1,5 @@
-"""Scoring hypothesized change points against a reference, plus the
-head-to-head method benchmark.
+"""Scoring hypothesized change points against a reference, and the
+change-point file format.
 
 Detected and reference points are paired one-to-one within a time
 tolerance, greedily by increasing pair distance. From the pairing:
@@ -14,13 +14,11 @@ fd = fr = 1 limit.
 
 from __future__ import annotations
 
-import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .audio_io import AudioBuffer
 from .errors import FormatError
 
 DEFAULT_TOLERANCE_S = 0.5
@@ -138,77 +136,6 @@ def evaluate(
         n_matched=n_matched,
         tolerance_s=tolerance_s,
     )
-
-
-@dataclass
-class BenchmarkRow:
-    method: str
-    report: EvalReport | None
-    wall_time_s: float
-    error: str | None = None
-
-
-@dataclass
-class BenchmarkResult:
-    rows: list[BenchmarkRow] = field(default_factory=list)
-    speedup: float | None = None  # growing-window BIC time over pitch time
-
-    def to_csv(self) -> str:
-        with_speedup = self.speedup is not None
-        header = "method,fd,fr,f,wall_time_s" + (",speedup" if with_speedup else "")
-        lines = [header]
-        for row in self.rows:
-            if row.report is None:
-                cells = [row.method, "", "", "", f"{row.wall_time_s:.3f}"]
-            else:
-                cells = [
-                    row.method,
-                    f"{row.report.fd:.4f}",
-                    f"{row.report.fr:.4f}",
-                    f"{row.report.f:.4f}",
-                    f"{row.wall_time_s:.3f}",
-                ]
-            if with_speedup:
-                cells.append(f"{self.speedup:.2f}" if row.method == "pitch" else "")
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
-
-
-def benchmark(
-    buffer: AudioBuffer,
-    reference: ChangePointSet,
-    methods,
-    tolerance_s: float = DEFAULT_TOLERANCE_S,
-) -> BenchmarkResult:
-    """Run each configured segmenter on the same buffer and score it.
-
-    methods is a sequence of (name, callable) pairs where the callable
-    maps an AudioBuffer to an object with a change_points attribute.
-    Methods run sequentially so wall-clock comparisons are fair; a
-    failing method is recorded in its row instead of aborting the run.
-    The speedup ratio is filled when both the "bic-grow" and "pitch"
-    methods are present.
-    """
-    if not methods:
-        raise ValueError("need at least one method")
-    result = BenchmarkResult()
-    wall_by_name: dict[str, float] = {}
-    for name, run in methods:
-        start = time.perf_counter()
-        try:
-            seg_result = run(buffer)
-            wall = time.perf_counter() - start
-            report = evaluate(reference, seg_result.change_points, tolerance_s)
-            result.rows.append(BenchmarkRow(method=name, report=report, wall_time_s=wall))
-            wall_by_name[name] = wall
-        except Exception as exc:  # noqa: BLE001 - per-row failure is data
-            wall = time.perf_counter() - start
-            result.rows.append(
-                BenchmarkRow(method=name, report=None, wall_time_s=wall, error=str(exc))
-            )
-    if "bic-grow" in wall_by_name and "pitch" in wall_by_name and wall_by_name["pitch"] > 0:
-        result.speedup = wall_by_name["bic-grow"] / wall_by_name["pitch"]
-    return result
 
 
 def read_change_points(path) -> ChangePointSet:

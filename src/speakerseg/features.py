@@ -183,9 +183,7 @@ def mfcc(
     for start in range(0, len(frames), _BLOCK_ROWS):
         block = frames[start : start + _BLOCK_ROWS]
         span = buffer.span(block[0] * cfg.hop, block[-1] * cfg.hop + cfg.window_len, span)
-        framed, _ = _frame_signal(
-            span, buffer.sample_rate_hz, cfg.window_len, block.step * cfg.hop
-        )
+        framed = _frame_signal(span, cfg.window_len, block.step * cfg.hop)
         magnitude = np.abs(np.fft.rfft(framed * window, nfft, axis=1))
         log_energies = np.log(_product(magnitude, bank_t) + LOG_FLOOR)
         coeffs = _product(log_energies, dct)

@@ -277,7 +277,7 @@ def _pitch_block(
             padded = np.pad(padded, ((0, 0), (0, 1)), constant_values=np.inf)
         idx, voiced = _select_amdf(padded, cfg.voicing_threshold)
     else:
-        ceps = _cepstrum_rows(_frame_signal(seg, sample_rate_hz, n, hop)[0], next_pow2(n))
+        ceps = _cepstrum_rows(_frame_signal(seg, n, hop), next_pow2(n))
         idx, voiced = _select_cepstral(ceps[:, lo : hi + 1], cfg.voicing_threshold)
     return np.where(voiced, sample_rate_hz / (lo + idx), 0.0)
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from speakerseg.audio_io import (
     AudioBuffer,
+    _frame_grid,
     _frame_signal,
     load_wav,
     plan_from_seconds,
@@ -148,6 +149,28 @@ class TestLoadWav:
         back = load_wav(path)
         assert np.max(np.abs(back.samples - samples)) <= 0.5 / 32768
 
+    def test_write_clips_finite_out_of_range(self, tmp_path):
+        path = tmp_path / "clip.wav"
+        write_wav(path, np.array([-2.0, 2.0]), 8000)
+        assert load_wav(path).samples.tolist() == [-1.0, 32767 / 32768]
+
+    @pytest.mark.parametrize(
+        "samples, rate, message",
+        [
+            ([0.0, np.nan, 0.5], 8000, "finite"),
+            ([0.0, np.inf, 0.5], 8000, "finite"),
+            ([0.0, -np.inf, 0.5], 8000, "finite"),
+            (np.zeros((2, 3)), 8000, "one-dimensional"),
+            (np.zeros(4), 0, "positive"),
+            (np.zeros(4), -8000, "positive"),
+        ],
+    )
+    def test_write_refuses_what_it_cannot_write(self, samples, rate, message, tmp_path):
+        path = tmp_path / "bad.wav"
+        with pytest.raises(ValueError, match=message):
+            write_wav(path, samples, rate)
+        assert not path.exists()
+
 
 class TestAudioBuffer:
     def test_rejects_out_of_range(self):
@@ -178,32 +201,36 @@ class TestAudioBuffer:
 
 class TestFrames:
     def test_frame_count_examples(self):
-        assert len(_frame_signal(np.zeros(1000), 8000, 200, 80)[0]) == 11
-        assert len(_frame_signal(np.zeros(100), 8000, 200, 80)[0]) == 0
-        assert len(_frame_signal(np.zeros(200), 8000, 200, 80)[0]) == 1
+        assert len(_frame_signal(np.zeros(1000), 200, 80)) == 11
+        assert len(_frame_signal(np.zeros(100), 200, 80)) == 0
+        assert len(_frame_signal(np.zeros(200), 200, 80)) == 1
 
     def test_exact_fit_starts_at_zero(self):
-        rows, times = _frame_signal(np.arange(200) / 1000.0, 8000, 200, 80)
-        assert rows.shape == (1, 200)
-        assert times[0] == 0.0
+        assert _frame_signal(np.arange(200) / 1000.0, 200, 80).shape == (1, 200)
+        frames, times = _frame_grid(200, 8000, 200, 80)
+        assert frames == range(1)
+        assert times.tolist() == [0.0]
 
     def test_frame_contents_match_slices(self):
         rng = np.random.default_rng(1)
         samples = rng.uniform(-1, 1, 1000)
-        rows, times = _frame_signal(samples, 8000, 200, 80)
+        rows = _frame_signal(samples, 200, 80)
         assert rows.shape == (11, 200)
         for k in range(11):
             assert np.array_equal(rows[k], samples[k * 80 : k * 80 + 200])
 
     def test_refuses_integer_pcm(self):
         with pytest.raises(PreconditionError, match="float64"):
-            _frame_signal(np.zeros(1000, dtype="<i2"), 8000, 200, 80)
+            _frame_signal(np.zeros(1000, dtype="<i2"), 200, 80)
 
     def test_frame_times(self):
-        _, times = _frame_signal(np.zeros(1000), 8000, 200, 80)
+        _, times = _frame_grid(1000, 8000, 200, 80)
+        assert len(times) == 11
         steps = np.diff(times)
         assert np.allclose(steps, 80 / 8000)
         assert np.all(steps > 0)
+        _, tail = _frame_grid(1000, 8000, 200, 80, slice(9, None))
+        assert np.array_equal(tail, times[9:])
 
     @given(
         n=st.integers(min_value=0, max_value=400),
@@ -212,9 +239,10 @@ class TestFrames:
     )
     @settings(max_examples=60, deadline=None)
     def test_frame_count_formula(self, n, window, hop):
-        rows, _ = _frame_signal(np.zeros(n), 8000, window, hop)
+        rows = _frame_signal(np.zeros(n), window, hop)
         expected = 0 if n < window else (n - window) // hop + 1
         assert len(rows) == expected
+        assert len(_frame_grid(n, 8000, window, hop)[0]) == expected
 
     def test_plan_validation(self):
         buf = AudioBuffer(samples=np.zeros(8000), sample_rate_hz=8000)

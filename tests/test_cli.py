@@ -417,10 +417,10 @@ class TestBenchCommand:
             assert main([*args, "--methods", order]) == EXIT_OK
             header, *rows = out.read_text().splitlines()
             assert header == "method,fd,fr,f,wall_time_s"
-            assert [row.split(",")[0] for row in rows] == order.split(",")
-            pitch_row, grow_row = sorted(rows, key=lambda row: row.startswith("bic"))
-            assert re.fullmatch(r"pitch,0\.0000,0\.0000,1\.0000,\d+\.\d{3}", pitch_row)
-            assert re.fullmatch(r"bic-grow,,,,\d+\.\d{3}", grow_row)
+            cells = dict(row.split(",", 1) for row in rows)
+            assert list(cells) == order.split(",")
+            assert re.fullmatch(r"0\.0000,0\.0000,1\.0000,\d+\.\d{3}", cells["pitch"])
+            assert re.fullmatch(r",,,\d+\.\d{3}", cells["bic-grow"])
             err = capsys.readouterr().err
             assert "bic-grow: failed: n_ini must hold" in err
             assert "pitch: f=1.0000 wall=" in err

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from speakerseg.errors import FormatError
 from speakerseg.evaluation import (
     ChangePointSet,
-    benchmark,
     evaluate,
     f_measure,
     fd_rate,
@@ -173,45 +172,6 @@ class TestEvaluate:
         rev = evaluate(b, a, 0.5)
         assert fwd.fd == rev.fr
         assert fwd.fr == rev.fd
-
-
-class TestBenchmark:
-    class _FakeResult:
-        def __init__(self, times):
-            self.change_points = points(*times)
-
-    def test_single_method_no_speedup(self, two_speaker_buffer):
-        buffer, truth = two_speaker_buffer
-        result = benchmark(buffer, truth, [("noop", lambda b: self._FakeResult([]))])
-        assert len(result.rows) == 1
-        assert result.speedup is None
-        assert "speedup" not in result.to_csv().splitlines()[0]
-
-    def test_noop_scores_all_misses(self, two_speaker_buffer):
-        buffer, truth = two_speaker_buffer
-        result = benchmark(buffer, truth, [("noop", lambda b: self._FakeResult([]))])
-        report = result.rows[0].report
-        assert report.fd == 0.0
-        assert report.fr == 1.0
-
-    def test_failure_recorded_not_fatal(self, two_speaker_buffer):
-        buffer, truth = two_speaker_buffer
-
-        def boom(_):
-            raise RuntimeError("nope")
-
-        result = benchmark(
-            buffer,
-            truth,
-            [("boom", boom), ("noop", lambda b: self._FakeResult([5.0]))],
-        )
-        assert result.rows[0].error == "nope"
-        assert result.rows[1].report is not None
-
-    def test_requires_methods(self, two_speaker_buffer):
-        buffer, truth = two_speaker_buffer
-        with pytest.raises(ValueError):
-            benchmark(buffer, truth, [])
 
 
 class TestChangePointFiles:
