@@ -53,8 +53,8 @@ class AudioBuffer:
         data = np.asarray(samples)
         if data.dtype.kind not in "iu":
             data = data.astype(np.float64, copy=False)
-        if sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
+        if not isinstance(sample_rate_hz, (int, np.integer)) or sample_rate_hz <= 0:
+            raise ValueError("sample_rate_hz must be a positive integer")
         if not 0 < divisor < np.inf:
             raise ValueError("divisor must be positive and finite")
         if data.ndim != 1:
@@ -147,11 +147,12 @@ def write_wav(path, samples, sample_rate_hz: int) -> None:
     """Write float amplitudes as mono 16-bit PCM, clipping into range.
 
     Raises ValueError, before anything is written, for a rate that is not
-    positive, samples that are not one-dimensional or not finite.
+    an integer in [1, 2**31 - 1] (the header holds 2 * rate in 32 bits),
+    samples that are not one-dimensional or not finite.
     """
     samples = np.asarray(samples, dtype=np.float64)
-    if sample_rate_hz <= 0:
-        raise ValueError("sample_rate_hz must be positive")
+    if not isinstance(sample_rate_hz, (int, np.integer)) or not 0 < sample_rate_hz < 2**31:
+        raise ValueError("sample_rate_hz must be a positive integer below 2**31")
     if samples.ndim != 1:
         raise ValueError("samples must be one-dimensional")
     if not np.isfinite(samples).all():
@@ -160,7 +161,7 @@ def write_wav(path, samples, sample_rate_hz: int) -> None:
     payload = ints.tobytes()
     header = b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
     header += b"fmt " + struct.pack(
-        "<IHHIIHH", 16, 1, 1, sample_rate_hz, sample_rate_hz * 2, 2, 16
+        "<IHHIIHH", 16, 1, 1, sample_rate_hz, 2 * int(sample_rate_hz), 2, 16
     )
     header += b"data" + struct.pack("<I", len(payload))
     Path(path).write_bytes(header + payload)

@@ -219,19 +219,16 @@ def _best_split(rows: np.ndarray, lam: float, reg_epsilon: float, min_b: int = 0
 def _refine_split(
     vectors: np.ndarray, row: int, span: int, lam: float, reg_epsilon: float
 ) -> tuple[int, float]:
-    """Re-localize a detected change in a span-row window centered on it.
+    """(split, score) of _best_split in a span-row window centered on a detected change.
 
     The coarse sweep can misplace a boundary by tens of rows when the
     transition sits at a window edge; the centered second pass pins it
-    down. Falls back to the coarse location when the refinement window
-    cannot be split.
+    down. The window must hold span >= 2(d + 1) rows, so it can be split.
     """
     lo = max(0, row - span // 2)
     hi = min(len(vectors), lo + span)
     lo = max(0, hi - span)
     b, score = _best_split(vectors[lo:hi], lam, reg_epsilon)
-    if b is None or score <= 0:
-        return row, -math.inf
     return lo + b, score
 
 
@@ -243,8 +240,9 @@ def detect_growing(features: FeatureMatrix, cfg: BicConfig | None = None) -> lis
     window centered on it, the refined row becomes a change point, and
     the sweep restarts there; otherwise the window grows by n_g rows up
     to n_max, after which it slides forward by n_s rows at constant size.
-    Splits within n_ini rows of the last emitted point are inadmissible,
-    which keeps consecutive detections at least n_ini rows apart.
+    A split, coarse or refined, is admissible only n_ini rows or more
+    after the latest change point; a refined split that is not, or that
+    does not score above 0, falls back to the coarse split.
     """
     cfg = cfg or BicConfig()
     n_rows = len(features)
@@ -254,30 +252,21 @@ def detect_growing(features: FeatureMatrix, cfg: BicConfig | None = None) -> lis
     if cfg.n_ini < 2 * (d + 1):
         raise PreconditionError("n_ini must hold at least 2(d+1) rows")
     points: list[ChangePoint] = []
-    start = 0
-    size = cfg.n_ini
-    last_emit_row = None
+    # last is the row of the latest change point; -n_ini leaves every split admissible.
+    start, size, last = 0, cfg.n_ini, -cfg.n_ini
     while start + size <= n_rows:
         window = features.vectors[start : start + size]
-        min_b = 0 if last_emit_row is None else last_emit_row + cfg.n_ini - start
-        b, score = _best_split(window, cfg.lam, cfg.reg_epsilon, min_b)
-        if b is not None and score > 0:
-            row, refined_score = _refine_split(
+        b, score = _best_split(window, cfg.lam, cfg.reg_epsilon, last + cfg.n_ini - start)
+        if score > 0:
+            row, refined = _refine_split(
                 features.vectors, start + b, cfg.n_ini, cfg.lam, cfg.reg_epsilon
             )
-            if refined_score == -math.inf or (
-                last_emit_row is not None and row - last_emit_row < cfg.n_ini
-            ):
-                row, refined_score = start + b, score
-            points.append(ChangePoint(time_s=float(features.times[row]), score=refined_score))
-            last_emit_row = row
-            start = row
-            size = cfg.n_ini
+            if refined <= 0 or row - last < cfg.n_ini:
+                row, refined = start + b, score
+            points.append(ChangePoint(time_s=float(features.times[row]), score=refined))
+            start, size, last = row, cfg.n_ini, row
         elif size < cfg.n_max:
-            grown = min(size + cfg.n_g, cfg.n_max)
-            if start + grown > n_rows:
-                break
-            size = grown
+            size = min(size + cfg.n_g, cfg.n_max)
         else:
             start += cfg.n_s
     return points

@@ -43,8 +43,8 @@ class SynthSpec:
             raise ValueError("durations must be positive and finite")
         if not 0 <= self.noise_level < math.inf:
             raise ValueError("noise_level must be >= 0 and finite")
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
+        if not isinstance(self.sample_rate_hz, (int, np.integer)) or self.sample_rate_hz <= 0:
+            raise ValueError("sample_rate_hz must be a positive integer")
         if self.f0_hz is not None and len(self.f0_hz) == 0:
             raise ValueError("f0_hz must be empty only when omitted")
         if not all(math.isfinite(f) for f in self.fundamentals()):

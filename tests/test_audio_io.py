@@ -163,6 +163,9 @@ class TestLoadWav:
             (np.zeros((2, 3)), 8000, "one-dimensional"),
             (np.zeros(4), 0, "positive"),
             (np.zeros(4), -8000, "positive"),
+            (np.zeros(4), 8000.5, "integer"),
+            (np.zeros(4), 8000.0, "integer"),
+            (np.zeros(4), 2**31, "below"),
         ],
     )
     def test_write_refuses_what_it_cannot_write(self, samples, rate, message, tmp_path):
@@ -185,6 +188,17 @@ class TestAudioBuffer:
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             AudioBuffer(samples=np.zeros(4), sample_rate_hz=0)
+
+    @pytest.mark.parametrize("rate", [8000.5, 8000.0, np.float64(8000)])
+    def test_rejects_non_integer_rate(self, rate):
+        with pytest.raises(ValueError, match="integer"):
+            AudioBuffer(samples=np.zeros(4), sample_rate_hz=rate)
+
+    def test_accepts_numpy_integer_rate(self, tmp_path):
+        buf = AudioBuffer(samples=np.zeros(4), sample_rate_hz=np.int64(8000))
+        write_wav(tmp_path / "r.wav", buf.samples, np.int32(2**31 - 1))
+        assert load_wav(tmp_path / "r.wav").sample_rate_hz == 2**31 - 1
+        assert buf.duration_s == 4 / 8000
 
     def test_duration(self):
         buf = AudioBuffer(samples=np.zeros(4000), sample_rate_hz=8000)

@@ -2,6 +2,8 @@ import dataclasses
 import json
 import os
 import re
+import runpy
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -179,6 +181,51 @@ class TestExitCodes:
         wav, ref = synth_files
         assert main(["bench", str(wav), str(ref), "--methods", methods]) == EXIT_USAGE
         assert "--methods" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "case, code, message",
+        [
+            ("include_c0 = maybe", EXIT_FORMAT, "not a boolean"),
+            ("gamma 0.5", EXIT_FORMAT, "expected key = value"),
+            ("--seconds 1,x", EXIT_FORMAT, "--seconds"),
+            ("directory", EXIT_IO, "not a file"),
+            ("fmt chunk of 8 bytes", EXIT_FORMAT, "fmt chunk too short"),
+            ("no data chunk", EXIT_FORMAT, "missing fmt or data chunk"),
+        ],
+    )
+    def test_error_exit(self, case, code, message, synth_files, tmp_path, capsys):
+        wav, _ = synth_files
+        fmt_chunk = wav.read_bytes()[12:36]  # "fmt ", its size 16 and its 16 bytes
+        empty_data = b"data" + bytes(4)
+        chunks = {
+            "fmt chunk of 8 bytes": b"fmt " + struct.pack("<I", 8) + fmt_chunk[8:16] + empty_data,
+            "no data chunk": fmt_chunk,
+        }
+        if case.startswith("--"):
+            out = ["--out", str(tmp_path / "s.wav"), "--ref-out", str(tmp_path / "s.txt")]
+            argv = ["synth", *out, *case.split()]
+        elif case == "directory":
+            argv = ["segment", str(tmp_path)]
+        elif case in chunks:
+            bad = tmp_path / "bad.wav"
+            body = b"WAVE" + chunks[case]
+            bad.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+            argv = ["segment", str(bad)]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(case + "\n")
+            argv = ["segment", str(wav), "--config", str(cfg)]
+        assert main(argv) == code
+        assert message in capsys.readouterr().err
+
+    def test_run_as_main_prints_help(self, monkeypatch, capsys):
+        # Dropped from sys.modules so that runpy executes a fresh copy without warning.
+        monkeypatch.delitem(sys.modules, "speakerseg.cli")
+        monkeypatch.setattr(sys, "argv", ["speakerseg", "--help"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("speakerseg.cli", run_name="__main__")
+        assert exc.value.code == EXIT_OK
+        assert "usage:" in capsys.readouterr().out
 
     def test_unknown_method_in_config_is_format_error(self, synth_files, tmp_path):
         wav, ref = synth_files

@@ -418,6 +418,47 @@ class TestGain:
             assert run(quiet).change_points.times.tolist() == points.tolist()
 
 
+class TestPrependedSilence:
+    # k = 4000 samples (0.5 s at 8 kHz) is a multiple of the pitch hop, the
+    # MFCC hop and n_s MFCC hops, so every frame and every fixed window of the
+    # recording is also one of the padded recording, k samples later.
+    K = 4000
+
+    @pytest.mark.parametrize(
+        "method",
+        [
+            "pitch",
+            pytest.param(
+                "bic-grow",
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="the join is found 2 rows early and a spurious point "
+                    "follows n_ini rows later (CHANGES.md FOUND)",
+                ),
+            ),
+            "bic-fixed",
+        ],
+    )
+    def test_prepending_silence_shifts_change_points(self, method, tmp_path):
+        cfg = RunConfig()
+        run = build_method(method, cfg)
+        for seed, noise in ((0, 0.01), (1, 0.04)):
+            spec = SynthSpec(n_speakers=6, duration_s=5.0, noise_level=noise, seed=seed)
+            synth_to_files(spec, tmp_path / "r.wav", tmp_path / "r.txt")
+            buffer = load_wav(tmp_path / "r.wav")
+            fs = buffer.sample_rate_hz
+            padded = AudioBuffer(np.r_[np.zeros(self.K), buffer.samples], fs)
+            shift = self.K / fs
+            expected = run(buffer).change_points.times + shift
+            points = run(padded).change_points.times
+            if method != "pitch":
+                # The join of silence and speech is itself a change.
+                assert abs(points[0] - shift) <= cfg.seg.mfcc.hop / fs + 1e-9
+                points = points[1:]
+            assert len(expected) > 0 and len(points) == len(expected)
+            np.testing.assert_allclose(points, expected, rtol=0, atol=1e-9)
+
+
 @pytest.fixture(scope="module")
 def appended_tail():
     """30 s of speakers alternating 75 and 390 Hz, appended to each recording."""

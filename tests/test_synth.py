@@ -29,6 +29,14 @@ class TestSpec:
         with pytest.raises(ValueError):
             SynthSpec(noise_level=-0.1)
 
+    @pytest.mark.parametrize("rate", [0, -8000, 8000.5, 8000.0])
+    def test_rate_must_be_positive_integer(self, rate):
+        with pytest.raises(ValueError, match="sample_rate_hz"):
+            SynthSpec(sample_rate_hz=rate)
+
+    def test_numpy_integer_rate_accepted(self):
+        buffer, _ = synth_speakers(SynthSpec(duration_s=0.01, sample_rate_hz=np.int64(8000)))
+        assert buffer.sample_rate_hz == 8000
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):
