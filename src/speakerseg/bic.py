@@ -78,7 +78,7 @@ class BicConfig:
     n_g: int = 50
     n_max: int = 600
     n_s: int = 50
-    fixed_window: int | None = None  # None: rows spanning one second
+    fixed_window_s: float = 1.0
 
     def __post_init__(self):
         if not 0 <= self.lam < math.inf:
@@ -89,8 +89,8 @@ class BicConfig:
             raise ValueError("n_g and n_s must be >= 1")
         if self.n_max <= self.n_ini:
             raise ValueError("n_max must exceed n_ini")
-        if self.fixed_window is not None and self.fixed_window < 2:
-            raise ValueError("fixed_window must hold at least two rows")
+        if not 0 < self.fixed_window_s < math.inf:
+            raise ValueError("fixed_window_s must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -273,9 +273,7 @@ def detect_growing(features: FeatureMatrix, cfg: BicConfig | None = None) -> lis
 
 
 def _resolve_fixed_window(features: FeatureMatrix, cfg: BicConfig) -> int:
-    if cfg.fixed_window is not None:
-        return cfg.fixed_window
-    return max(2, int(round(1.0 / features.hop_s)))
+    return max(2, int(round(cfg.fixed_window_s / features.hop_s)))
 
 
 def fixed_window_scores(features: FeatureMatrix, cfg: BicConfig | None = None):

@@ -46,16 +46,17 @@ _KEY_ALIASES = {"lambda": "lam"}
 
 
 def _leaves(node, path=()):
-    """(key, field, value) of every leaf of a config tree, depth first."""
+    """(key, value) of every leaf of a config tree, depth first."""
     for f in dataclasses.fields(node):
         value = getattr(node, f.name)
         if dataclasses.is_dataclass(value):
             yield from _leaves(value, path + (f.name,))
         else:
-            yield _RENAMED.get(path + (f.name,), f.name), f, value
+            yield _RENAMED.get(path + (f.name,), f.name), value
 
 
-_FIELDS = {key: f for key, f, _ in _leaves(RunConfig())}
+# Each leaf's default has the type of its values, so it names the parser of a raw value.
+_DEFAULTS = dict(_leaves(RunConfig()))
 
 
 def _with_values(node, values: dict, path=()):
@@ -77,27 +78,21 @@ def _with_values(node, values: dict, path=()):
 def _to_flat(cfg: RunConfig) -> dict:
     """The tree as flat config keys, `lam` spelled `lambda`, as --dry-run prints it."""
     spelling = {key: alias for alias, key in _KEY_ALIASES.items()}
-    return {spelling.get(key, key): value for key, _, value in _leaves(cfg)}
+    return {spelling.get(key, key): value for key, value in _leaves(cfg)}
 
 
-def _coerce(field: dataclasses.Field, raw: str, key: str):
-    raw = raw.strip()
-    if field.type in ("bool",):
+def _coerce(default, raw: str, key: str):
+    """raw parsed as the type of default: a str, int, float or bool leaf."""
+    if isinstance(default, bool):
         if raw.lower() in ("1", "true", "yes", "on"):
             return True
         if raw.lower() in ("0", "false", "no", "off"):
             return False
         raise FormatError(f"config key {key}: not a boolean: {raw!r}")
     try:
-        if field.name == "fixed_window":
-            return None if raw.lower() in ("none", "auto", "") else int(raw)
-        if field.type in ("int",):
-            return int(raw)
-        if field.type in ("float",):
-            return float(raw)
+        return type(default)(raw)
     except ValueError as exc:
         raise FormatError(f"config key {key}: {exc}") from exc
-    return raw
 
 
 def parse_config_file(path) -> dict:
@@ -115,9 +110,9 @@ def parse_config_file(path) -> dict:
             raise FormatError(f"{path}:{lineno}: expected key = value")
         key, raw = (part.strip() for part in line.split("=", 1))
         name = _KEY_ALIASES.get(key, key)
-        if name not in _FIELDS:
+        if name not in _DEFAULTS:
             raise FormatError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[name] = _coerce(_FIELDS[name], raw, key)
+        values[name] = _coerce(_DEFAULTS[name], raw, key)
     return values
 
 

@@ -92,8 +92,8 @@ class PitchConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown pitch method {self.method!r}")
-        if not 0 < self.min_hz < self.max_hz:
-            raise ValueError("need 0 < min_hz < max_hz")
+        if not 0 < self.min_hz < self.max_hz < np.inf:
+            raise ValueError("need 0 < min_hz < max_hz < inf")
         if not (0 < self.frame_len_s < np.inf and 0 < self.hop_s < np.inf):
             raise ValueError("frame_len_s and hop_s must be positive and finite")
         if self.frame_len_s * self.min_hz <= 1.0:
@@ -134,9 +134,7 @@ def lag_bounds(sample_rate_hz: int, cfg: PitchConfig) -> tuple[int, int]:
     """Inclusive lag search range [ceil(fs/max_hz), floor(fs/min_hz)]."""
     lo = int(np.ceil(sample_rate_hz / cfg.max_hz))
     hi = int(np.floor(sample_rate_hz / cfg.min_hz))
-    if lo < 1:
-        lo = 1
-    if lo > hi:
+    if not 1 <= lo <= hi:
         raise PreconditionError("empty lag range; check min_hz/max_hz against the sample rate")
     return lo, hi
 

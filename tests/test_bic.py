@@ -498,7 +498,8 @@ class TestBatchedKernel:
         rows = rng.normal(0.0, 1.0, (n, d)) * rng.uniform(0.1, 10.0, d)
         rows[n // 2 :] += rng.uniform(-2.0, 2.0, d)
         features = FeatureMatrix(rows, np.arange(n) * 0.01)
-        cfg = BicConfig(n_s=n_s, fixed_window=window, lam=float(rng.uniform(0.0, 2.0)))
+        # At a 0.01 s hop, window * 0.01 s is exactly window rows.
+        cfg = BicConfig(n_s=n_s, fixed_window_s=window * 0.01, lam=float(rng.uniform(0.0, 2.0)))
         times, scores = fixed_window_scores(features, cfg)
         starts = range(0, n - window + 1, n_s)
         half = window // 2

@@ -6,6 +6,7 @@ import runpy
 import struct
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -186,6 +187,11 @@ class TestExitCodes:
         "case, code, message",
         [
             ("include_c0 = maybe", EXIT_FORMAT, "not a boolean"),
+            ("max_hz = inf", EXIT_FORMAT, "max_hz"),
+            ("fixed_window = 150", EXIT_FORMAT, "unknown config key 'fixed_window'"),
+            ("fixed_window_s = 0", EXIT_FORMAT, "fixed_window_s"),
+            ("fixed_window_s = inf", EXIT_FORMAT, "fixed_window_s"),
+            ("fixed_window_s = nan", EXIT_FORMAT, "fixed_window_s"),
             ("gamma 0.5", EXIT_FORMAT, "expected key = value"),
             ("--seconds 1,x", EXIT_FORMAT, "--seconds"),
             ("directory", EXIT_IO, "not a file"),
@@ -509,7 +515,7 @@ class TestConfigResolution:
             "threshold_coef = 0.75\n"
             "n_ini = 120  # inline comment\n"
             "include_c0 = false\n"
-            "fixed_window = none\n"
+            "fixed_window_s = 1.5\n"
         )
         values = parse_config_file(cfg)
         assert values == {
@@ -517,7 +523,7 @@ class TestConfigResolution:
             "threshold_coef": 0.75,
             "n_ini": 120,
             "include_c0": False,
-            "fixed_window": None,
+            "fixed_window_s": 1.5,
         }
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -652,7 +658,7 @@ KEY_CASES = [
     ("n_g", "40", ("seg", "bic", "n_g"), 40),
     ("n_max", "500", ("seg", "bic", "n_max"), 500),
     ("n_s", "25", ("seg", "bic", "n_s"), 25),
-    ("fixed_window", "150", ("seg", "bic", "fixed_window"), 150),
+    ("fixed_window_s", "1.5", ("seg", "bic", "fixed_window_s"), 1.5),
     ("threshold_coef", "0.6", ("seg", "threshold_coef"), 0.6),
     ("gamma", "0.4", ("seg", "gamma"), 0.4),
     ("verify_window_s", "0.5", ("seg", "verify_window_s"), 0.5),
@@ -667,9 +673,48 @@ class TestConfigKeys:
         assert len(paths) == len(keys) == 25
         assert sorted(paths) == sorted({path for _, _, path, _ in KEY_CASES})
 
+    def test_every_default_has_its_annotated_type(self):
+        # A config value is parsed by the type of its leaf's default.
+        nodes = [RunConfig()]
+        for node in nodes:
+            hints = typing.get_type_hints(type(node))
+            for field in dataclasses.fields(node):
+                value = getattr(node, field.name)
+                assert type(value) is hints[field.name], field.name
+                if dataclasses.is_dataclass(value):
+                    nodes.append(value)
+
+    def test_dry_run_round_trips(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key} = {raw}\n" for key, raw, *_ in KEY_CASES))
+        assert main(["segment", "unread.wav", "--config", str(cfg), "--dry-run"]) == EXIT_OK
+        printed = json.loads(capsys.readouterr().out)
+        again = tmp_path / "again.cfg"
+        again.write_text(
+            "".join(
+                f"{key} = {value if isinstance(value, str) else json.dumps(value)}\n"
+                for key, value in printed.items()
+            )
+        )
+
+        class Args:
+            config = str(cfg)
+
+        class Again:
+            config = str(again)
+
+        resolved = resolve_config(Args())
+        assert resolved == resolve_config(Again())
+        assert all(
+            value != default
+            for (_, value), (_, default) in zip(
+                config_leaves(resolved), config_leaves(RunConfig())
+            )
+        )
+
     def test_bad_fixed_window_is_format_error(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("fixed_window = abc\n")
+        cfg.write_text("fixed_window_s = abc\n")
         assert main(["segment", "unread.wav", "--config", str(cfg), "--dry-run"]) == EXIT_FORMAT
 
     @pytest.mark.parametrize(

@@ -292,7 +292,7 @@ class TestShortFrames:
                 AMDF,
                 marks=pytest.mark.xfail(
                     strict=True,
-                    reason="AMDF voices none of these frames (CHANGES.md FOUND, ROADMAP item 4)",
+                    reason="AMDF voices none of these frames (CHANGES.md FOUND, ROADMAP item 6)",
                 ),
             ),
         ],
@@ -609,6 +609,14 @@ class TestConfigValidation:
     def test_band_ordering(self):
         with pytest.raises(ValueError):
             PitchConfig(min_hz=400, max_hz=60)
+
+    def test_max_hz_must_be_finite(self):
+        with pytest.raises(ValueError, match="max_hz"):
+            PitchConfig(max_hz=math.inf)
+
+    def test_zero_rate_has_no_lags(self):
+        with pytest.raises(PreconditionError, match="empty lag range"):
+            pitch_frame(sine(200.0, 8000, 240), 0)
 
     def test_frame_must_hold_longest_lag(self):
         with pytest.raises(ValueError):

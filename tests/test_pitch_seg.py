@@ -478,7 +478,7 @@ class TestLocality:
                 "pitch",
                 marks=pytest.mark.xfail(
                     strict=True,
-                    reason="ROADMAP item 3, step 2: the candidate threshold is a "
+                    reason="ROADMAP item 3: the candidate threshold is a "
                     "fraction of the whole recording's largest jump",
                 ),
             ),
