@@ -40,9 +40,8 @@ _RENAMED = {
     ("seg", "pitch", "hop_s"): "pitch_hop_s",
     ("seg", "mfcc", "window_len"): "mfcc_window",
     ("seg", "mfcc", "overlap"): "mfcc_overlap",
+    ("seg", "bic", "lam"): "lambda",
 }
-# config-file spelling -> key
-_KEY_ALIASES = {"lambda": "lam"}
 
 
 def _leaves(node, path=()):
@@ -75,12 +74,6 @@ def _with_values(node, values: dict, path=()):
     return dataclasses.replace(node, **changes)
 
 
-def _to_flat(cfg: RunConfig) -> dict:
-    """The tree as flat config keys, `lam` spelled `lambda`, as --dry-run prints it."""
-    spelling = {key: alias for alias, key in _KEY_ALIASES.items()}
-    return {spelling.get(key, key): value for key, value in _leaves(cfg)}
-
-
 def _coerce(default, raw: str, key: str):
     """raw parsed as the type of default: a str, int, float or bool leaf."""
     if isinstance(default, bool):
@@ -98,7 +91,7 @@ def _coerce(default, raw: str, key: str):
 def parse_config_file(path) -> dict:
     """Flat key = value lines; # starts a comment, blank lines ignored."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text") from exc
     values: dict = {}
@@ -109,10 +102,9 @@ def parse_config_file(path) -> dict:
         if "=" not in line:
             raise FormatError(f"{path}:{lineno}: expected key = value")
         key, raw = (part.strip() for part in line.split("=", 1))
-        name = _KEY_ALIASES.get(key, key)
-        if name not in _DEFAULTS:
+        if key not in _DEFAULTS:
             raise FormatError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[name] = _coerce(_DEFAULTS[name], raw, key)
+        values[key] = _coerce(_DEFAULTS[key], raw, key)
     return values
 
 
@@ -326,15 +318,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: parse_args keeps no state between calls.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         cfg = resolve_config(args)
         if args.dry_run:
-            print(json.dumps(_to_flat(cfg), indent=2, sort_keys=True))
+            print(json.dumps(dict(_leaves(cfg)), indent=2, sort_keys=True))
             return EXIT_OK
         return args.func(args, cfg)
     except FileNotFoundError as exc:

@@ -141,7 +141,7 @@ def evaluate(
 def read_change_points(path) -> ChangePointSet:
     """One decimal timestamp (seconds) per line; blank lines ignored."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text") from exc
     times = []

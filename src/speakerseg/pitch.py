@@ -96,8 +96,6 @@ class PitchConfig:
             raise ValueError("need 0 < min_hz < max_hz < inf")
         if not (0 < self.frame_len_s < np.inf and 0 < self.hop_s < np.inf):
             raise ValueError("frame_len_s and hop_s must be positive and finite")
-        if self.frame_len_s * self.min_hz <= 1.0:
-            raise ValueError("frame_len_s too short to hold the longest search lag")
         if not 0.0 <= self.voicing_threshold <= 1.0:
             raise ValueError("voicing_threshold must lie in [0, 1]")
 
@@ -247,24 +245,17 @@ def _select_cepstral(values: np.ndarray, threshold: float):
     return idx, voiced
 
 
-def _frame_lags(n: int, sample_rate_hz: int, cfg: PitchConfig) -> tuple[int, int]:
-    """lag_bounds, checked against a frame of n samples."""
-    lo, hi = lag_bounds(sample_rate_hz, cfg)
-    if n <= hi:
-        raise PreconditionError(
-            f"frame of {n} samples cannot cover the longest search lag {hi}"
-        )
-    return lo, hi
-
-
 def _pitch_block(
-    seg: np.ndarray, n: int, hop: int, m: int, sample_rate_hz: int, cfg: PitchConfig,
-    lo: int, hi: int,
+    seg: np.ndarray, n: int, hop: int, m: int, sample_rate_hz: int, cfg: PitchConfig
 ) -> np.ndarray:
     """Pitch of the m frames of n samples, hop apart, that seg holds.
 
-    [lo, hi] is the lag range, checked against n by _frame_lags.
+    Each frame must hold the longest search lag. Both are known in
+    samples only here, where the rate is, so PitchConfig does not check it.
     """
+    lo, hi = lag_bounds(sample_rate_hz, cfg)
+    if n <= hi:
+        raise PreconditionError(f"frame of {n} samples cannot cover the longest search lag {hi}")
     if cfg.method == ACF:
         sums = _lag_sums(seg, n, hop, m, np.r_[0, lo : hi + 1], np.multiply)
         idx, voiced = _select_acf(sums[:, 1:], sums[:, 0], cfg.voicing_threshold)
@@ -288,8 +279,7 @@ def pitch_frame(frame, sample_rate_hz: int, cfg: PitchConfig | None = None) -> f
         raise PreconditionError("frame must be a non-empty 1-D sequence")
     if not np.all(np.isfinite(frame)):
         raise PreconditionError("frame samples must be finite")
-    lo, hi = _frame_lags(len(frame), sample_rate_hz, cfg)
-    return float(_pitch_block(frame, len(frame), len(frame), 1, sample_rate_hz, cfg, lo, hi)[0])
+    return float(_pitch_block(frame, len(frame), len(frame), 1, sample_rate_hz, cfg)[0])
 
 
 def pitch_track(buffer: AudioBuffer, cfg: PitchConfig | None = None) -> PitchTrack:
@@ -299,7 +289,6 @@ def pitch_track(buffer: AudioBuffer, cfg: PitchConfig | None = None) -> PitchTra
     frames, times = _frame_grid(len(buffer), buffer.sample_rate_hz, n, hop)
     if not frames:
         raise PreconditionError("audio shorter than one frame")
-    lo, hi = _frame_lags(n, buffer.sample_rate_hz, cfg)
     pitch = np.empty(len(frames))
     block = max(1, _BLOCK_SAMPLES // hop)
     # Each block converts its samples into the first block's array, which
@@ -309,9 +298,7 @@ def pitch_track(buffer: AudioBuffer, cfg: PitchConfig | None = None) -> PitchTra
     for start in range(0, len(frames), block):
         m = min(block, len(frames) - start)
         seg = buffer.span(start * hop, (start + m - 1) * hop + n, seg)
-        pitch[start : start + m] = _pitch_block(
-            seg, n, hop, m, buffer.sample_rate_hz, cfg, lo, hi
-        )
+        pitch[start : start + m] = _pitch_block(seg, n, hop, m, buffer.sample_rate_hz, cfg)
     return PitchTrack(times=times, pitch_hz=pitch)
 
 

@@ -185,6 +185,15 @@ class TestAudioBuffer:
         with pytest.raises(ValueError, match="finite"):
             AudioBuffer(samples=np.array([0.0, bad, 0.5]), sample_rate_hz=8000)
 
+    @pytest.mark.parametrize("divisor", [0.0, np.inf, np.nan])
+    def test_rejects_bad_divisor(self, divisor):
+        with pytest.raises(ValueError, match="divisor"):
+            AudioBuffer(samples=np.zeros(4), sample_rate_hz=8000, divisor=divisor)
+
+    def test_rejects_two_dimensional_samples(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            AudioBuffer(samples=np.zeros((2, 2)), sample_rate_hz=8000)
+
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             AudioBuffer(samples=np.zeros(4), sample_rate_hz=0)

@@ -145,6 +145,10 @@ class TestFitGaussian:
         with pytest.raises(PreconditionError):
             fit_gaussian(rows)
 
+    def test_one_dimensional_rejected(self):
+        with pytest.raises(PreconditionError, match="2-D"):
+            fit_gaussian(np.zeros(5))
+
 
 class TestPenalty:
     def test_zero_lambda_disables(self):
@@ -228,6 +232,14 @@ class TestDeltaBic:
         rows = np.zeros((30, 5))
         with pytest.raises(PreconditionError):
             delta_bic(rows, 3, 1.0)
+
+    def test_rows_validation(self):
+        with pytest.raises(PreconditionError, match="2-D"):
+            delta_bic(np.zeros(30), 15, 1.0)
+        rows = np.zeros((30, 2))
+        rows[0, 1] = np.nan
+        with pytest.raises(PreconditionError, match="finite"):
+            delta_bic(rows, 15, 1.0)
 
 
 class TestDetectGrowing:
@@ -382,6 +394,8 @@ class TestConfig:
             BicConfig(n_max=50, n_ini=100)
         with pytest.raises(ValueError):
             BicConfig(reg_epsilon=0.0)
+        with pytest.raises(ValueError, match="n_g"):
+            BicConfig(n_g=0)
 
     def test_stats_type(self):
         g = fit_gaussian(np.array([[-1.0], [1.0]]))

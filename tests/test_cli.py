@@ -193,14 +193,18 @@ class TestExitCodes:
             ("fixed_window_s = inf", EXIT_FORMAT, "fixed_window_s"),
             ("fixed_window_s = nan", EXIT_FORMAT, "fixed_window_s"),
             ("gamma 0.5", EXIT_FORMAT, "expected key = value"),
+            ("pitch_frame_s = 0.010", EXIT_PRECONDITION, "80 samples cannot cover the longest"),
             ("--seconds 1,x", EXIT_FORMAT, "--seconds"),
+            ("--f0 ,", EXIT_FORMAT, "f0_hz must be empty only when omitted"),
+            ("--seconds 0.00005", EXIT_PRECONDITION, "shorter than one sample"),
             ("directory", EXIT_IO, "not a file"),
+            ("out under a file", EXIT_IO, "Not a directory"),
             ("fmt chunk of 8 bytes", EXIT_FORMAT, "fmt chunk too short"),
             ("no data chunk", EXIT_FORMAT, "missing fmt or data chunk"),
         ],
     )
     def test_error_exit(self, case, code, message, synth_files, tmp_path, capsys):
-        wav, _ = synth_files
+        wav, ref = synth_files
         fmt_chunk = wav.read_bytes()[12:36]  # "fmt ", its size 16 and its 16 bytes
         empty_data = b"data" + bytes(4)
         chunks = {
@@ -212,6 +216,8 @@ class TestExitCodes:
             argv = ["synth", *out, *case.split()]
         elif case == "directory":
             argv = ["segment", str(tmp_path)]
+        elif case == "out under a file":
+            argv = ["evaluate", str(ref), str(ref), "--json", str(ref / "report.json")]
         elif case in chunks:
             bad = tmp_path / "bad.wav"
             body = b"WAVE" + chunks[case]
@@ -415,6 +421,23 @@ class TestEvaluateCommand:
         assert payload["f"] == pytest.approx(0.5)
 
 
+    def test_text_report_golden(self, tmp_path, capsys):
+        ref = tmp_path / "ref.txt"
+        hyp = tmp_path / "hyp.txt"
+        ref.write_text("1.0\n3.0\n")
+        hyp.write_text("1.0\n5.0\n")
+        assert main(["evaluate", str(ref), str(hyp), "--tolerance", "0.5"]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "fd           0.5000\n"
+            "fr           0.5000\n"
+            "f            0.5000\n"
+            "n_hyp        2\n"
+            "n_ref        2\n"
+            "n_matched    1\n"
+            "tolerance_s  0.500\n"
+        )
+
+
 class TestBenchCommand:
     def test_golden_output(self, synth_files, tmp_path, capsys):
         # Every byte except the timings: the wall_time_s and speedup cells
@@ -519,7 +542,7 @@ class TestConfigResolution:
         )
         values = parse_config_file(cfg)
         assert values == {
-            "lam": 1.2,
+            "lambda": 1.2,
             "threshold_coef": 0.75,
             "n_ini": 120,
             "include_c0": False,
@@ -541,6 +564,27 @@ class TestConfigResolution:
 
         with pytest.raises(FormatError, match="latin1.cfg"):
             parse_config_file(cfg)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # Windows Notepad starts a UTF-8 file with U+FEFF.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfmethod = bic-grow\n")
+        assert parse_config_file(cfg) == {"method": "bic-grow"}
+
+    def test_frame_lag_rule_waits_for_the_rate(self, tmp_path, capsys):
+        # 0.010 s cannot hold the 60 Hz lag at any rate, but only a WAV has a rate.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("pitch_frame_s = 0.010\n")
+        assert main(["segment", "unread.wav", "--config", str(cfg), "--dry-run"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["pitch_frame_s"] == 0.010
+
+    def test_parser_keeps_no_state_between_calls(self, synth_files, tmp_path, capsys):
+        wav, _ = synth_files
+        out = str(tmp_path / "hyp.txt")
+        assert main(["segment", str(wav), "--method", "bic-grow", "--out", out]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["segment", str(wav), "--dry-run"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["method"] == "pitch"
 
     def test_gamma_c_is_unknown_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -623,6 +667,12 @@ class TestBuildMethod:
             assert result.wall_time_s > 0
             assert len(result.change_points) >= 1
 
+    def test_unknown_name_is_format_error(self):
+        from speakerseg.errors import FormatError
+
+        with pytest.raises(FormatError, match="'foo'"):
+            build_method("foo", RunConfig())
+
 
 def config_leaves(node, path=()):
     """(path, value) of every leaf of a config tree, depth first."""
@@ -652,7 +702,6 @@ KEY_CASES = [
     ("n_mel_filters", "24", ("seg", "mfcc", "n_mel_filters"), 24),
     ("include_c0", "false", ("seg", "mfcc", "include_c0"), False),
     ("lambda", "1.3", ("seg", "bic", "lam"), 1.3),
-    ("lam", "1.3", ("seg", "bic", "lam"), 1.3),
     ("reg_epsilon", "1e-5", ("seg", "bic", "reg_epsilon"), 1e-5),
     ("n_ini", "80", ("seg", "bic", "n_ini"), 80),
     ("n_g", "40", ("seg", "bic", "n_g"), 40),
@@ -664,12 +713,14 @@ KEY_CASES = [
     ("verify_window_s", "0.5", ("seg", "verify_window_s"), 0.5),
     ("min_gap_s", "0.6", ("seg", "min_gap_s"), 0.6),
 ]
+# Spellings that no longer set a leaf: a config file holding one exits 3.
+RETIRED_KEYS = [("lam", "1.3", None, None)]
 
 
 class TestConfigKeys:
     def test_every_leaf_has_one_key(self):
         paths = [path for path, _ in config_leaves(RunConfig())]
-        keys = {key for key, *_ in KEY_CASES if key != "lam"}
+        keys = {key for key, *_ in KEY_CASES}
         assert len(paths) == len(keys) == 25
         assert sorted(paths) == sorted({path for _, _, path, _ in KEY_CASES})
 
@@ -689,6 +740,7 @@ class TestConfigKeys:
         cfg.write_text("".join(f"{key} = {raw}\n" for key, raw, *_ in KEY_CASES))
         assert main(["segment", "unread.wav", "--config", str(cfg), "--dry-run"]) == EXIT_OK
         printed = json.loads(capsys.readouterr().out)
+        assert printed.keys() == parse_config_file(cfg).keys()
         again = tmp_path / "again.cfg"
         again.write_text(
             "".join(
@@ -718,7 +770,9 @@ class TestConfigKeys:
         assert main(["segment", "unread.wav", "--config", str(cfg), "--dry-run"]) == EXIT_FORMAT
 
     @pytest.mark.parametrize(
-        "key, raw, path, value", KEY_CASES, ids=[case[0] for case in KEY_CASES]
+        "key, raw, path, value",
+        KEY_CASES + RETIRED_KEYS,
+        ids=[case[0] for case in KEY_CASES + RETIRED_KEYS],
     )
     def test_key_sets_only_its_leaf(self, key, raw, path, value, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -727,6 +781,10 @@ class TestConfigKeys:
         class Args:
             config = str(cfg)
 
+        if path is None:
+            assert main(["segment", "unread.wav", "--config", str(cfg), "--dry-run"]) == EXIT_FORMAT
+            assert f"unknown config key {key!r}" in capsys.readouterr().err
+            return
         default = dict(config_leaves(RunConfig()))
         resolved = dict(config_leaves(resolve_config(Args())))
         changed = {p for p in default if resolved[p] != default[p]}
@@ -735,4 +793,4 @@ class TestConfigKeys:
 
         assert main(["segment", "unread.wav", "--config", str(cfg), "--dry-run"]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
-        assert payload["lambda" if key == "lam" else key] == value
+        assert payload[key] == value

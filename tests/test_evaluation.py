@@ -116,6 +116,8 @@ class TestRates:
     def test_domain(self):
         with pytest.raises(ValueError):
             fd_rate(1, 2)
+        with pytest.raises(ValueError):
+            fr_rate(1, 2)
 
 
 class TestFMeasure:
@@ -199,6 +201,15 @@ class TestChangePointFiles:
         with pytest.raises(FormatError, match="latin1.txt"):
             read_change_points(path)
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # Windows Notepad starts a UTF-8 file with U+FEFF; only a leading one is skipped.
+        path = tmp_path / "cp.txt"
+        path.write_bytes(b"\xef\xbb\xbf5.000\n")
+        assert read_change_points(path).times.tolist() == [5.0]
+        path.write_bytes(b"1.000\n\xef\xbb\xbf5.000\n")
+        with pytest.raises(FormatError, match="not a timestamp"):
+            read_change_points(path)
+
     def test_non_monotonic_rejected(self, tmp_path):
         path = tmp_path / "cp.txt"
         path.write_text("2.0\n1.0\n")
@@ -206,6 +217,10 @@ class TestChangePointFiles:
             read_change_points(path)
 
     def test_set_validation(self):
+        with pytest.raises(FormatError, match="1-D"):
+            ChangePointSet(np.zeros((2, 2)))
+        with pytest.raises(FormatError, match="finite"):
+            points(1.0, np.nan)
         with pytest.raises(FormatError):
             points(1.0, 1.0)
         with pytest.raises(FormatError):

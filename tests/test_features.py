@@ -43,6 +43,8 @@ class TestGeometry:
             MfccConfig(window_len=200, overlap=200)
         with pytest.raises(ValueError):
             MfccConfig(n_coeffs=30, n_mel_filters=26)
+        with pytest.raises(ValueError, match="c0"):
+            MfccConfig(n_coeffs=26, n_mel_filters=26, include_c0=False)
 
 
 class TestValues:
@@ -175,6 +177,14 @@ class TestFeatureMatrix:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             FeatureMatrix(np.array([[np.nan, 1.0]]), np.array([0.0]))
+
+    def test_rejects_one_time_per_row_mismatch(self):
+        with pytest.raises(ValueError, match="one time per row"):
+            FeatureMatrix(np.zeros((3, 2)), np.array([0.0, 0.01]))
+
+    def test_one_row_has_no_hop(self):
+        with pytest.raises(PreconditionError, match="two frames"):
+            FeatureMatrix(np.zeros((1, 2)), np.array([0.0])).hop_s
 
     def test_rejects_times_out_of_order(self):
         # verify_change picks its window's rows by bisecting the times

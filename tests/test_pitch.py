@@ -17,6 +17,7 @@ from speakerseg.pitch import (
     CEPSTRAL,
     METHODS,
     PitchConfig,
+    PitchTrack,
     lag_bounds,
     next_pow2,
     pitch_frame,
@@ -619,5 +620,28 @@ class TestConfigValidation:
             pitch_frame(sine(200.0, 8000, 240), 0)
 
     def test_frame_must_hold_longest_lag(self):
-        with pytest.raises(ValueError):
-            PitchConfig(frame_len_s=0.010, min_hz=60)
+        # The config cannot check this without a rate; the detector checks it in samples.
+        cfg = PitchConfig(frame_len_s=0.010, min_hz=60)
+        with pytest.raises(PreconditionError, match="80 samples .* lag 133"):
+            pitch_track(buffer_from(sine(150, 8000, 8000)), cfg)
+
+    @pytest.mark.parametrize("fs, n, lag", [(8000, 107, 106), (16000, 213, 213)])
+    def test_frame_lag_rule_is_per_rate(self, fs, n, lag):
+        # 0.01332 s is 107 samples at 8 kHz and 213 at 16 kHz; the 75 Hz lag is 106 and 213.
+        cfg = PitchConfig(frame_len_s=0.01332, min_hz=75)
+        buf = buffer_from(sine(150, fs, fs), fs)
+        if n > lag:
+            assert np.count_nonzero(pitch_track(buf, cfg).pitch_hz) > 0
+        else:
+            with pytest.raises(PreconditionError, match=f"{n} samples .* lag {lag}"):
+                pitch_track(buf, cfg)
+
+    def test_voicing_threshold_range(self):
+        with pytest.raises(ValueError, match="voicing_threshold"):
+            PitchConfig(voicing_threshold=1.5)
+
+    def test_track_validation(self):
+        with pytest.raises(ValueError, match="parallel"):
+            PitchTrack(times=[0.0, 0.01], pitch_hz=[100.0])
+        with pytest.raises(ValueError, match="increasing"):
+            PitchTrack(times=[0.0, 0.0], pitch_hz=[100.0, 100.0])

@@ -246,6 +246,16 @@ class TestCandidates:
         got = candidates(corrected, times, threshold_coef, min_gap_s)
         assert got == reference_candidates(corrected, times.tolist(), threshold_coef, min_gap_s)
 
+    def test_no_differences_no_candidates(self):
+        assert candidates([], [0.0], 0.7, 0.5) == []
+
+    def test_arguments_validated(self):
+        times = np.arange(6) * 0.01
+        with pytest.raises(ValueError, match="threshold_coef"):
+            candidates(np.ones(5), times, 0.0, 0.5)
+        with pytest.raises(ValueError, match="one difference"):
+            candidates(np.ones(5), times[:5], 0.7, 0.5)
+
     def test_constant_sequence_empty_at_max_threshold(self):
         # threshold equals the maximum, and the comparison is strict
         times = np.arange(6) * 0.01

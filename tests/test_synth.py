@@ -69,6 +69,14 @@ class TestGeneration:
         b, _ = synth_speakers(SynthSpec(seed=2))
         assert not np.array_equal(a.samples, b.samples)
 
+    def test_harmonics_stop_below_the_band_edge(self):
+        # At 2 kHz only harmonics under 0.45 fs = 900 Hz are added: 280, 560 and 840 Hz.
+        spec = SynthSpec(n_speakers=1, f0_hz=(280.0,), sample_rate_hz=2000, noise_level=0.0)
+        buffer, _ = synth_speakers(spec)
+        spectrum = np.abs(np.fft.rfft(buffer.samples))
+        freqs = np.fft.rfftfreq(len(buffer), 1 / spec.sample_rate_hz)
+        assert freqs[spectrum > 1e-6 * spectrum.max()].tolist() == [280.0, 560.0, 840.0]
+
     def test_distinct_adjacent_fundamentals(self):
         fundamentals = SynthSpec(n_speakers=6).fundamentals()
         for a, b in zip(fundamentals, fundamentals[1:]):
