@@ -13,22 +13,32 @@ covariances are maximum-likelihood (divide by n) and regularized with
 reg_epsilon * I before taking the determinant so short windows stay
 positive definite.
 
-Every score comes from one kernel, `_split_scores`. It scores the splits
-lo..hi of each window of a stack from running sums of the rows, centred
-at the window mean, and of their outer products (Cettolo & Vescovi,
-ICASSP 2003). `_side_sums` sums the left side of every split and the
-whole window, a right side is the whole less its left side, and
-`_ml_log_dets` factors the covariances of the right sides, of the left
-sides and of the whole windows in one batched Cholesky call each.
-`delta_bic` (and through it `verify_change`) is one split of a stack of
-one, `fixed_window_scores` the centre split of blocks of windows, and
-`_best_split` (also reached through `_refine_split`) every admissible
-split of a growing window. Batching changes no bit of a score: each
-window is summed and each matrix factored on its own, so three calls
-give the log-determinants that one would. A sweep that starts at an
-earlier split adds the rows before b one by one where `delta_bic`
-multiplies them out, so the two scores of split b can differ in the
-last bits: on random windows, by at most about 3e-11 * n * d.
+Every score comes from one kernel (Cettolo & Vescovi, ICASSP 2003):
+running sums of centred rows and of their outer products give the left
+side of each split and the whole window, a right side is the whole less
+its left side, `_ml_log_dets` factors the left sides in one batched
+Cholesky call and the whole window with the right sides in another (the
+whole window is the right side of the split at 0), and `_scores` turns
+the log-determinants into delta_bic. Batching changes no bit of a score:
+each window is summed and each matrix factored on its own, so two calls
+give the log-determinants that one would.
+
+`_split_scores` applies the kernel to a stack of windows, each centred at
+its mean and summed by `_side_sums`: `delta_bic` (and through it
+`verify_change`) is one split of a stack of one, `fixed_window_scores`
+the centre split of blocks of windows, and `_best_split` (through
+`_refine_split`) every admissible split of a window. A sweep that starts
+at an earlier split adds the rows before b one by one where `delta_bic`
+multiplies them out, so the two scores of split b can differ in the last
+bits: on random windows, by at most about 3e-11 * n * d.
+
+`detect_growing` keeps one `_GrowingWindow` for all the windows that grow
+from one start: its sums are centred at the mean of the first of them
+and extended by the new rows only, and each left side is factored once,
+when a window first admits its split. Its scores differ in the last bits
+from `_best_split`'s on the same window, which centres at that window's
+mean: on random windows by at most about 7e-10 * n * d, the most where
+the best split leaves d + 1 rows on the right, a nearly singular side.
 
 Two sweep strategies emit multiple change points: a growing window that
 restarts at each accepted change, and a fixed-size window slid at a
@@ -168,10 +178,14 @@ def _split_scores(windows: np.ndarray, lo: int, hi: int, lam: float, reg_epsilon
     _, n, d = windows.shape
     s_left, c_left, s_whole, c_whole = _side_sums(windows, lo, hi)
     b = np.arange(lo, hi + 1)
-    right = _ml_log_dets(s_whole[:, None] - s_left, c_whole[:, None] - c_left, n - b, reg_epsilon)
+    whole, right = _whole_and_right_log_dets(s_left, c_left, s_whole, c_whole, n, b, reg_epsilon)
     left = _ml_log_dets(s_left, c_left, b, reg_epsilon)
-    whole = _ml_log_dets(s_whole, c_whole, n, reg_epsilon)
-    return 0.5 * n * whole[:, None] - 0.5 * b * left - 0.5 * (n - b) * right - penalty(d, n, lam)
+    return _scores(n, d, b, whole, left, right, lam)
+
+
+def _scores(n: int, d: int, b: np.ndarray, whole, left, right, lam: float) -> np.ndarray:
+    """delta_bic at splits b of an n-row window from the log-determinants of its sides."""
+    return 0.5 * n * whole - 0.5 * b * left - 0.5 * (n - b) * right - penalty(d, n, lam)
 
 
 def _side_sums(windows: np.ndarray, lo: int, hi: int):
@@ -181,19 +195,45 @@ def _side_sums(windows: np.ndarray, lo: int, hi: int):
     Rows are centred at their window's mean. The left side at lo sums rows[:lo], each
     later split adds one row, and the whole window is the left side at hi plus rows[hi:].
     """
+    k, _, d = windows.shape
     centred = windows.copy()  # a copy, then in place: no ufunc buffers for strided windows
     centred -= centred.mean(axis=1, keepdims=True)
     first, added, last = centred[:, :lo], centred[:, lo:hi], centred[:, hi:]
-    s_left = np.concatenate([first.sum(axis=1, keepdims=True), added], axis=1)
-    np.cumsum(s_left, axis=1, out=s_left)
-    c_left = np.empty((*s_left.shape, s_left.shape[-1]))
+    s_left = np.empty((k, hi - lo + 1, d))
+    c_left = np.empty((k, hi - lo + 1, d, d))
+    s_left[:, 0] = first.sum(axis=1)
     np.matmul(np.swapaxes(first, 1, 2), first, out=c_left[:, 0])
-    np.multiply(added[..., :, None], added[..., None, :], out=c_left[:, 1:])
-    np.cumsum(c_left, axis=1, out=c_left)
+    _accumulate(s_left, c_left, added)
     s_whole = last.sum(axis=1) + s_left[:, -1]
     c_whole = np.swapaxes(last, 1, 2) @ last
     c_whole += c_left[:, -1]
     return s_left, c_left, s_whole, c_whole
+
+
+def _accumulate(sums: np.ndarray, outer: np.ndarray, rows: np.ndarray) -> None:
+    """Running sums along the second-last axis of sums, in place: slot j + 1 adds rows[j]
+    to slot j, and outer adds its outer product. Slot 0 holds the sums to start from."""
+    sums[..., 1:, :] = rows
+    np.multiply(rows[..., :, None], rows[..., None, :], out=outer[..., 1:, :, :])
+    np.cumsum(sums, axis=-2, out=sums)
+    np.cumsum(outer, axis=-3, out=outer)
+
+
+def _whole_and_right_log_dets(s_left, c_left, s_whole, c_whole, n: int, b, reg_epsilon: float):
+    """(whole, right): _ml_log_dets of the n-row whole window, shaped to broadcast against
+    the splits, and of the right side of each split b, whole less left.
+
+    Both come from one batch: the whole window is the right side of the split at 0.
+    """
+    slots = (*s_left.shape[:-2], len(b) + 1)
+    sums = np.empty((*slots, *s_whole.shape[-1:]))
+    outer = np.empty((*slots, *c_whole.shape[-2:]))
+    sums[..., 0, :] = s_whole
+    outer[..., 0, :, :] = c_whole
+    np.subtract(s_whole[..., None, :], s_left, out=sums[..., 1:, :])
+    np.subtract(c_whole[..., None, :, :], c_left, out=outer[..., 1:, :, :])
+    log_dets = _ml_log_dets(sums, outer, np.concatenate([[n], n - b]), reg_epsilon)
+    return log_dets[..., :1], log_dets[..., 1:]
 
 
 def _ml_log_dets(sums: np.ndarray, outer: np.ndarray, count, reg_epsilon: float) -> np.ndarray:
@@ -243,6 +283,11 @@ def detect_growing(features: FeatureMatrix, cfg: BicConfig | None = None) -> lis
     A split, coarse or refined, is admissible only n_ini rows or more
     after the latest change point; a refined split that is not, or that
     does not score above 0, falls back to the coarse split.
+
+    The windows that grow from one start share one _GrowingWindow: a
+    grown window adds its new rows to the running sums and factors the
+    left sides of its new splits only. A restart or a slide begins a new
+    one, so the state never holds more than n_max + 1 slots of sums.
     """
     cfg = cfg or BicConfig()
     n_rows = len(features)
@@ -253,10 +298,12 @@ def detect_growing(features: FeatureMatrix, cfg: BicConfig | None = None) -> lis
         raise PreconditionError("n_ini must hold at least 2(d+1) rows")
     points: list[ChangePoint] = []
     # last is the row of the latest change point; -n_ini leaves every split admissible.
-    start, size, last = 0, cfg.n_ini, -cfg.n_ini
+    start, size, last, window = 0, cfg.n_ini, -cfg.n_ini, None
     while start + size <= n_rows:
-        window = features.vectors[start : start + size]
-        b, score = _best_split(window, cfg.lam, cfg.reg_epsilon, last + cfg.n_ini - start)
+        if window is None:
+            rows = features.vectors[start : start + cfg.n_max]
+            window = _GrowingWindow(rows, size, last + cfg.n_ini - start)
+        b, score = window.best_split(size, cfg.lam, cfg.reg_epsilon)
         if score > 0:
             row, refined = _refine_split(
                 features.vectors, start + b, cfg.n_ini, cfg.lam, cfg.reg_epsilon
@@ -264,12 +311,55 @@ def detect_growing(features: FeatureMatrix, cfg: BicConfig | None = None) -> lis
             if refined <= 0 or row - last < cfg.n_ini:
                 row, refined = start + b, score
             points.append(ChangePoint(time_s=float(features.times[row]), score=refined))
-            start, size, last = row, cfg.n_ini, row
+            start, size, last, window = row, cfg.n_ini, row, None
         elif size < cfg.n_max:
             size = min(size + cfg.n_g, cfg.n_max)
         else:
-            start += cfg.n_s
+            start, window = start + cfg.n_s, None
     return points
+
+
+class _GrowingWindow:
+    """The windows of detect_growing that share one start: their running sums and the
+    log-determinants of the left sides scored so far.
+
+    Slot j of the sums holds rows[:j], centred at the mean of the first window's rows, a
+    point that stays fixed while the window grows; slot 0 is zero. A split's left side is
+    its slot, its right side the window's slot less its own, and its left log-determinant
+    is factored once, when a window first admits the split.
+    """
+
+    def __init__(self, rows: np.ndarray, size: int, min_b: int):
+        n, d = rows.shape
+        self.rows = rows
+        self.centre = rows[:size].mean(axis=0)
+        self.lo = max(d + 1, min_b)
+        self.sums = np.zeros((n + 1, d))
+        self.outer = np.zeros((n + 1, d, d))
+        self.left = np.empty(n + 1)
+        self.summed = 0  # slots 0..summed hold sums; left holds splits lo..summed - d - 1
+
+    def best_split(self, size: int, lam: float, reg_epsilon: float):
+        """_best_split of rows[:size] with the first min_b splits left out; size grows
+        from call to call."""
+        d = self.rows.shape[1]
+        lo, hi = self.lo, size - d - 1
+        if lo > hi:
+            return None, -math.inf
+        known = self.summed
+        slots = slice(known, size + 1)
+        _accumulate(self.sums[slots], self.outer[slots], self.rows[known:size] - self.centre)
+        new = np.arange(max(lo, known - d), hi + 1)
+        self.left[new] = _ml_log_dets(self.sums[new], self.outer[new], new, reg_epsilon)
+        self.summed = size
+        b = np.arange(lo, hi + 1)
+        whole, right = _whole_and_right_log_dets(
+            self.sums[lo : hi + 1], self.outer[lo : hi + 1], self.sums[size], self.outer[size],
+            size, b, reg_epsilon,
+        )
+        scores = _scores(size, d, b, whole, self.left[lo : hi + 1], right, lam)
+        best = int(np.argmax(scores))
+        return lo + best, float(scores[best])
 
 
 def _resolve_fixed_window(features: FeatureMatrix, cfg: BicConfig) -> int:

@@ -10,8 +10,10 @@ from speakerseg import pitch_seg
 from speakerseg.audio_io import AudioBuffer, load_wav
 from speakerseg.bic import (
     BicConfig,
+    ChangePoint,
     GaussianStats,
     _best_split,
+    _refine_split,
     _split_scores,
     delta_bic,
     detect_fixed,
@@ -91,6 +93,62 @@ def interleaved_split_scores(windows, lo, hi, lam, reg_epsilon):
         - 0.5 * (n - b) * log_dets[:, right]
         - penalty(d, n, lam)
     )
+
+
+def reference_detect_growing(features, cfg):
+    """detect_growing as it was before its per-start state: _best_split scores each
+    window afresh, centred at its own mean.
+
+    Returns the points, the window size of each point that fell back to its coarse
+    split (None for a refined point), and how often the sweep grew, slid and restarted.
+    """
+    points, fallbacks, steps = [], [], {"grow": 0, "slide": 0, "restart": 0}
+    start, size, last = 0, cfg.n_ini, -cfg.n_ini
+    while start + size <= len(features):
+        window = features.vectors[start : start + size]
+        b, score = _best_split(window, cfg.lam, cfg.reg_epsilon, last + cfg.n_ini - start)
+        if score > 0:
+            row, refined = _refine_split(
+                features.vectors, start + b, cfg.n_ini, cfg.lam, cfg.reg_epsilon
+            )
+            fallback = None
+            if refined <= 0 or row - last < cfg.n_ini:
+                row, refined, fallback = start + b, score, size
+            points.append(ChangePoint(time_s=float(features.times[row]), score=refined))
+            fallbacks.append(fallback)
+            start, size, last = row, cfg.n_ini, row
+            steps["restart"] += 1
+        elif size < cfg.n_max:
+            size = min(size + cfg.n_g, cfg.n_max)
+            steps["grow"] += 1
+        else:
+            start += cfg.n_s
+            steps["slide"] += 1
+    return points, fallbacks, steps
+
+
+def assert_same_sweep(features, cfg):
+    """detect_growing against the reference: the same times, refined scores bit for
+    bit, coarse scores within rounding. Returns the reference's step counts."""
+    got = detect_growing(features, cfg)
+    want, fallbacks, steps = reference_detect_growing(features, cfg)
+    assert [p.time_s for p in got] == [p.time_s for p in want]
+    for p, q, n in zip(got, want, fallbacks):
+        if n is None:
+            assert p.score.hex() == q.score.hex()
+        else:
+            # The reference centres each window at its own mean, the sweep at
+            # the mean of its start's first window, so the two round differently.
+            assert abs(p.score - q.score) <= 1e-9 * n * features.dim
+    return steps
+
+
+# The default sweep sizes and two small ones that slide and restart often.
+SWEEP_SIZES = [
+    BicConfig(),
+    BicConfig(n_ini=40, n_g=20, n_max=200, n_s=20),
+    BicConfig(n_ini=30, n_g=25, n_max=130, n_s=7),
+]
 
 
 def two_cluster_features(n_per_side=500, d=13, gap=5.0, seed=42, hop_s=0.01):
@@ -292,6 +350,45 @@ class TestDetectGrowing:
         assert _best_split(features.vectors[110:130], cfg.lam, cfg.reg_epsilon)[0] == 5
         points = detect_growing(features, cfg)
         assert [p.time_s for p in points] == list(features.times[[100, 120]])
+
+
+class TestGrowingSweepAgainstReference:
+    """The per-start sweep finds the points that scoring each window afresh finds."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sizes=st.sampled_from(SWEEP_SIZES),
+        d=st.integers(1, 13),
+        n=st.integers(30, 1500),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_rows_with_mean_shifts(self, sizes, d, n, seed):
+        # d <= 13 keeps n_ini >= 2(d + 1) in every size.
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(0.0, 1.0, (n, d)) * rng.uniform(0.1, 10.0, d)
+        turn = 0
+        while turn < n:
+            rows[turn:] += rng.uniform(-3.0, 3.0, d)
+            turn += int(rng.integers(20, 800))
+        assert_same_sweep(FeatureMatrix(rows, np.arange(n) * 0.01), sizes)
+
+    @pytest.mark.parametrize("cfg", SWEEP_SIZES, ids=["default", "40-20-200-20", "30-25-130-7"])
+    @pytest.mark.parametrize(
+        "seed, rate, noise, silence_s",
+        [(0, 8000, 0.01, 0.0), (1, 16000, 0.04, 0.5), (2, 8000, 0.08, 0.5)],
+    )
+    def test_synth_mfcc(self, cfg, seed, rate, noise, silence_s, tmp_path):
+        spec = SynthSpec(
+            n_speakers=6, duration_s=5.0, noise_level=noise, sample_rate_hz=rate, seed=seed
+        )
+        synth_to_files(spec, tmp_path / "r.wav", tmp_path / "r.txt")
+        buffer = load_wav(tmp_path / "r.wav")
+        silence = np.zeros(int(silence_s * rate))
+        features = mfcc(AudioBuffer(np.r_[silence, buffer.samples], rate))
+        steps = assert_same_sweep(features, cfg)
+        assert steps["grow"] > 0 and steps["restart"] > 0
+        if cfg.n_max < 500:  # shorter than a turn of the fixture
+            assert steps["slide"] > 0
 
 
 class TestDetectFixed:
