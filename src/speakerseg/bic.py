@@ -14,31 +14,33 @@ reg_epsilon * I before taking the determinant so short windows stay
 positive definite.
 
 Every score comes from one kernel (Cettolo & Vescovi, ICASSP 2003):
-running sums of centred rows and of their outer products give the left
-side of each split and the whole window, a right side is the whole less
-its left side, `_ml_log_dets` factors the left sides in one batched
-Cholesky call and the whole window with the right sides in another (the
-whole window is the right side of the split at 0), and `_scores` turns
-the log-determinants into delta_bic. Batching changes no bit of a score:
+sums of centred rows and of their outer products give the left side of
+a split and the whole window, a right side is the whole less its left
+side, `_ml_log_dets` factors the left sides in one batched Cholesky call
+and the whole window with the right sides in another (the whole window
+is the right side of the split at 0), and `_scores` turns the
+log-determinants into delta_bic. Batching changes no bit of a score:
 each window is summed and each matrix factored on its own, so two calls
 give the log-determinants that one would.
 
-`_split_scores` applies the kernel to a stack of windows, each centred at
-its mean and summed by `_side_sums`: `delta_bic` (and through it
-`verify_change`) is one split of a stack of one, `fixed_window_scores`
-the centre split of blocks of windows, and `_best_split` (through
-`_refine_split`) every admissible split of a window. A sweep that starts
-at an earlier split adds the rows before b one by one where `delta_bic`
-multiplies them out, so the two scores of split b can differ in the last
-bits: on random windows, by at most about 3e-11 * n * d.
+The kernel has two paths. `_split_scores` scores one split of each
+window of a stack, centred at its window's mean, with one product per
+side: `delta_bic` (and through it `verify_change`) splits a stack of
+one, `fixed_window_scores` blocks of windows at their centre.
+`_GrowingWindow` scores every admissible split of a window from running
+sums that add its rows one by one: `detect_growing` keeps one for all
+the windows that grow from one start, centred at the mean of the first
+of them, extends its sums by the new rows only and factors each left
+side once, when a window first admits its split; `_refine_split` scores
+its one window with a fresh one, centred at that window's mean.
 
-`detect_growing` keeps one `_GrowingWindow` for all the windows that grow
-from one start: its sums are centred at the mean of the first of them
-and extended by the new rows only, and each left side is factored once,
-when a window first admits its split. Its scores differ in the last bits
-from `_best_split`'s on the same window, which centres at that window's
-mean: on random windows by at most about 7e-10 * n * d, the most where
-the best split leaves d + 1 rows on the right, a nearly singular side.
+A running sum adds the rows before split b one by one where `delta_bic`
+multiplies them out, so the two scores of split b differ in the last
+bits: on random windows by at most about 5e-11 * n * d. Centring at the
+first window's mean rather than each window's own moves the growing
+sweep's scores further: on random windows by at most about
+2.2e-9 * n * d, the most where the best split leaves d + 1 rows on the
+right, a nearly singular side, whose score `delta_bic` rounds as badly.
 
 Two sweep strategies emit multiple change points: a growing window that
 restarts at each accepted change, and a fixed-size window slid at a
@@ -166,57 +168,37 @@ def delta_bic(
         raise PreconditionError("split leaves a side with fewer than d+1 rows")
     if not np.all(np.isfinite(rows)):
         raise PreconditionError("rows must be finite")
-    return float(_split_scores(rows[None], b, b, lam, reg_epsilon)[0, 0])
+    return float(_split_scores(rows[None], b, lam, reg_epsilon)[0])
 
 
-def _split_scores(windows: np.ndarray, lo: int, hi: int, lam: float, reg_epsilon: float):
-    """delta_bic of each window of a (k, n, d) stack at every split lo..hi, as (k, hi - lo + 1).
+def _split_scores(windows: np.ndarray, b: int, lam: float, reg_epsilon: float) -> np.ndarray:
+    """delta_bic of each window of a (k, n, d) stack split at b, as (k,).
 
-    The centred copy of the stack is freed when _side_sums returns, before any side is
-    scored. Scoring a side overwrites its sums, so the right sides, whole less left, go first.
+    Rows are centred at their window's mean, and the centred copy is freed before any side
+    is scored. Scoring a side overwrites its sums, so the right side, whole less left, goes
+    first.
     """
     _, n, d = windows.shape
-    s_left, c_left, s_whole, c_whole = _side_sums(windows, lo, hi)
-    b = np.arange(lo, hi + 1)
-    whole, right = _whole_and_right_log_dets(s_left, c_left, s_whole, c_whole, n, b, reg_epsilon)
-    left = _ml_log_dets(s_left, c_left, b, reg_epsilon)
-    return _scores(n, d, b, whole, left, right, lam)
+    centred = windows.copy()  # a copy, then in place: no ufunc buffers for strided windows
+    centred -= centred.mean(axis=1, keepdims=True)
+    first, last = centred[:, :b], centred[:, b:]
+    s_left = first.sum(axis=1)[:, None]
+    c_left = (np.swapaxes(first, 1, 2) @ first)[:, None]
+    s_whole = last.sum(axis=1) + s_left[:, 0]
+    c_whole = np.swapaxes(last, 1, 2) @ last
+    c_whole += c_left[:, 0]
+    del centred, first, last
+    split = np.array([b])
+    whole, right = _whole_and_right_log_dets(
+        s_left, c_left, s_whole, c_whole, n, split, reg_epsilon
+    )
+    left = _ml_log_dets(s_left, c_left, split, reg_epsilon)
+    return _scores(n, d, split, whole, left, right, lam)[:, 0]
 
 
 def _scores(n: int, d: int, b: np.ndarray, whole, left, right, lam: float) -> np.ndarray:
     """delta_bic at splits b of an n-row window from the log-determinants of its sides."""
     return 0.5 * n * whole - 0.5 * b * left - 0.5 * (n - b) * right - penalty(d, n, lam)
-
-
-def _side_sums(windows: np.ndarray, lo: int, hi: int):
-    """Row sums and outer-product sums, (k, m, d) and (k, m, d, d), of the m = hi - lo + 1
-    left sides of a (k, n, d) stack, and (k, d) and (k, d, d) of the whole window.
-
-    Rows are centred at their window's mean. The left side at lo sums rows[:lo], each
-    later split adds one row, and the whole window is the left side at hi plus rows[hi:].
-    """
-    k, _, d = windows.shape
-    centred = windows.copy()  # a copy, then in place: no ufunc buffers for strided windows
-    centred -= centred.mean(axis=1, keepdims=True)
-    first, added, last = centred[:, :lo], centred[:, lo:hi], centred[:, hi:]
-    s_left = np.empty((k, hi - lo + 1, d))
-    c_left = np.empty((k, hi - lo + 1, d, d))
-    s_left[:, 0] = first.sum(axis=1)
-    np.matmul(np.swapaxes(first, 1, 2), first, out=c_left[:, 0])
-    _accumulate(s_left, c_left, added)
-    s_whole = last.sum(axis=1) + s_left[:, -1]
-    c_whole = np.swapaxes(last, 1, 2) @ last
-    c_whole += c_left[:, -1]
-    return s_left, c_left, s_whole, c_whole
-
-
-def _accumulate(sums: np.ndarray, outer: np.ndarray, rows: np.ndarray) -> None:
-    """Running sums along the second-last axis of sums, in place: slot j + 1 adds rows[j]
-    to slot j, and outer adds its outer product. Slot 0 holds the sums to start from."""
-    sums[..., 1:, :] = rows
-    np.multiply(rows[..., :, None], rows[..., None, :], out=outer[..., 1:, :, :])
-    np.cumsum(sums, axis=-2, out=sums)
-    np.cumsum(outer, axis=-3, out=outer)
 
 
 def _whole_and_right_log_dets(s_left, c_left, s_whole, c_whole, n: int, b, reg_epsilon: float):
@@ -245,30 +227,22 @@ def _ml_log_dets(sums: np.ndarray, outer: np.ndarray, count, reg_epsilon: float)
     return _log_dets(outer, reg_epsilon)
 
 
-def _best_split(rows: np.ndarray, lam: float, reg_epsilon: float, min_b: int = 0):
-    """(split, score) of the first maximum over the admissible splits; (None, -inf) if none."""
-    n, d = rows.shape
-    lo, hi = max(d + 1, min_b), n - d - 1
-    if lo > hi:
-        return None, -math.inf
-    scores = _split_scores(rows[None], lo, hi, lam, reg_epsilon)[0]
-    best = int(np.argmax(scores))
-    return lo + best, float(scores[best])
-
-
 def _refine_split(
     vectors: np.ndarray, row: int, span: int, lam: float, reg_epsilon: float
 ) -> tuple[int, float]:
-    """(split, score) of _best_split in a span-row window centered on a detected change.
+    """(split, score) of the first maximum of delta_bic over the admissible splits of a
+    span-row window centered on a detected change, scored by a fresh _GrowingWindow.
 
     The coarse sweep can misplace a boundary by tens of rows when the
     transition sits at a window edge; the centered second pass pins it
-    down. The window must hold span >= 2(d + 1) rows, so it can be split.
+    down. Near either end of the recording the window is clamped to it.
+    The window must hold span >= 2(d + 1) rows, so it can be split.
     """
     lo = max(0, row - span // 2)
     hi = min(len(vectors), lo + span)
     lo = max(0, hi - span)
-    b, score = _best_split(vectors[lo:hi], lam, reg_epsilon)
+    window = vectors[lo:hi]
+    b, score = _GrowingWindow(window, len(window), 0).best_split(len(window), lam, reg_epsilon)
     return lo + b, score
 
 
@@ -320,13 +294,14 @@ def detect_growing(features: FeatureMatrix, cfg: BicConfig | None = None) -> lis
 
 
 class _GrowingWindow:
-    """The windows of detect_growing that share one start: their running sums and the
-    log-determinants of the left sides scored so far.
+    """Every admissible split of the windows rows[:size] that grow from one start: their
+    running sums and the log-determinants of the left sides scored so far.
 
     Slot j of the sums holds rows[:j], centred at the mean of the first window's rows, a
     point that stays fixed while the window grows; slot 0 is zero. A split's left side is
     its slot, its right side the window's slot less its own, and its left log-determinant
-    is factored once, when a window first admits the split.
+    is factored once, when a window first admits the split. detect_growing keeps one for
+    all the windows from one start; _refine_split scores its one window with a fresh one.
     """
 
     def __init__(self, rows: np.ndarray, size: int, min_b: int):
@@ -340,15 +315,20 @@ class _GrowingWindow:
         self.summed = 0  # slots 0..summed hold sums; left holds splits lo..summed - d - 1
 
     def best_split(self, size: int, lam: float, reg_epsilon: float):
-        """_best_split of rows[:size] with the first min_b splits left out; size grows
-        from call to call."""
+        """(split, score) of the first maximum of delta_bic over the splits of rows[:size]
+        that leave min_b rows or more, and d + 1 or more, on the left and d + 1 or more on
+        the right; (None, -inf) if there are none. size grows from call to call."""
         d = self.rows.shape[1]
         lo, hi = self.lo, size - d - 1
         if lo > hi:
             return None, -math.inf
         known = self.summed
-        slots = slice(known, size + 1)
-        _accumulate(self.sums[slots], self.outer[slots], self.rows[known:size] - self.centre)
+        # Slot j + 1 adds row j to slot j, from the last slot summed on.
+        sums, outer = self.sums[known : size + 1], self.outer[known : size + 1]
+        np.subtract(self.rows[known:size], self.centre, out=sums[1:])
+        np.multiply(sums[1:, :, None], sums[1:, None, :], out=outer[1:])
+        np.cumsum(sums, axis=0, out=sums)
+        np.cumsum(outer, axis=0, out=outer)
         new = np.arange(max(lo, known - d), hi + 1)
         self.left[new] = _ml_log_dets(self.sums[new], self.outer[new], new, reg_epsilon)
         self.summed = size
@@ -389,9 +369,7 @@ def fixed_window_scores(features: FeatureMatrix, cfg: BicConfig | None = None):
     scores = np.empty(len(starts))
     for lo in range(0, len(starts), _FIXED_BLOCK):
         block = windows[lo : lo + _FIXED_BLOCK]
-        scores[lo : lo + len(block)] = _split_scores(
-            block, half, half, cfg.lam, cfg.reg_epsilon
-        )[:, 0]
+        scores[lo : lo + len(block)] = _split_scores(block, half, cfg.lam, cfg.reg_epsilon)
     return times, scores
 
 

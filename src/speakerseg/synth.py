@@ -24,6 +24,8 @@ from .evaluation import ChangePointSet, write_change_points
 DEFAULT_F0_LADDER = (110.0, 220.0, 150.0, 280.0, 120.0, 250.0)
 
 N_HARMONICS = 8
+# Harmonics are rendered below this fraction of the sample rate.
+BAND_EDGE = 0.45
 PEAK_AMPLITUDE = 0.35
 
 
@@ -47,8 +49,10 @@ class SynthSpec:
             raise ValueError("sample_rate_hz must be a positive integer")
         if self.f0_hz is not None and len(self.f0_hz) == 0:
             raise ValueError("f0_hz must be empty only when omitted")
-        if not all(math.isfinite(f) for f in self.fundamentals()):
-            raise ValueError("f0_hz must be finite")
+        # A fundamental at or above the band edge renders no harmonic, and one at or
+        # below 0 an aliased tone or silence.
+        if not all(0 < f < BAND_EDGE * self.sample_rate_hz for f in self.fundamentals()):
+            raise ValueError("f0_hz must lie above 0 and below 0.45 * sample_rate_hz")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -79,7 +83,7 @@ def synth_speakers(spec: SynthSpec) -> tuple[AudioBuffer, ChangePointSet]:
         sig = np.zeros(n_seg)
         for h in range(N_HARMONICS):
             freq = f0 * (h + 1)
-            if freq >= 0.45 * fs:
+            if freq >= BAND_EDGE * fs:
                 break
             sig += amps[h] * np.sin(2.0 * np.pi * freq * t + phases[h])
         peak = np.max(np.abs(sig))

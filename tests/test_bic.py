@@ -12,7 +12,7 @@ from speakerseg.bic import (
     BicConfig,
     ChangePoint,
     GaussianStats,
-    _best_split,
+    _GrowingWindow,
     _refine_split,
     _split_scores,
     delta_bic,
@@ -96,8 +96,8 @@ def interleaved_split_scores(windows, lo, hi, lam, reg_epsilon):
 
 
 def reference_detect_growing(features, cfg):
-    """detect_growing as it was before its per-start state: _best_split scores each
-    window afresh, centred at its own mean.
+    """detect_growing as it was before its per-start state: a fresh _GrowingWindow scores
+    each window afresh, centred at its own mean.
 
     Returns the points, the window size of each point that fell back to its coarse
     split (None for a refined point), and how often the sweep grew, slid and restarted.
@@ -106,7 +106,8 @@ def reference_detect_growing(features, cfg):
     start, size, last = 0, cfg.n_ini, -cfg.n_ini
     while start + size <= len(features):
         window = features.vectors[start : start + size]
-        b, score = _best_split(window, cfg.lam, cfg.reg_epsilon, last + cfg.n_ini - start)
+        grown = _GrowingWindow(window, size, last + cfg.n_ini - start)
+        b, score = grown.best_split(size, cfg.lam, cfg.reg_epsilon)
         if score > 0:
             row, refined = _refine_split(
                 features.vectors, start + b, cfg.n_ini, cfg.lam, cfg.reg_epsilon
@@ -139,8 +140,29 @@ def assert_same_sweep(features, cfg):
         else:
             # The reference centres each window at its own mean, the sweep at
             # the mean of its start's first window, so the two round differently.
+            # Over 4,000 draws of test_random_rows_with_mean_shifts (3,318
+            # coarse points) the largest gap was 2.2e-9 * n * d: two draws
+            # went above this bound, each at a right side of d + 1 nearly
+            # collinear rows, so about one draw in 2,000 fails on rounding.
             assert abs(p.score - q.score) <= 1e-9 * n * features.dim
     return steps
+
+
+def assert_first_max_of_delta_bic(rows, splits, b, score):
+    """(b, score) is a maximum of delta_bic over these splits of rows, within rounding.
+
+    A running sum adds the rows before a split one by one where delta_bic
+    multiplies them out, so the two round differently. A score weighs
+    d-dimensional log-determinants by n rows in all; over every split of
+    12,890 windows of the growing-window test's domain and 8,000 of the
+    refinement test's, the largest gap was 4.6e-11 * n * d.
+    """
+    n, d = rows.shape
+    want = [delta_bic(rows, s, 1.0, 1e-6) for s in splits]
+    tol = 1e-9 * n * d
+    assert abs(score - max(want)) <= tol
+    assert b in splits
+    assert want[b - splits[0]] >= max(want) - tol
 
 
 # The default sweep sizes and two small ones that slide and restart often.
@@ -336,7 +358,7 @@ class TestDetectGrowing:
         # positive, which the 600-row window still detects.
         features = level_features([0.0] * 300 + [0.4] * 300)
         cfg = BicConfig(n_ini=20, n_g=20, n_max=600, n_s=20)
-        assert _best_split(features.vectors[290:310], cfg.lam, cfg.reg_epsilon)[1] <= 0
+        assert _refine_split(features.vectors, 300, cfg.n_ini, cfg.lam, cfg.reg_epsilon)[1] <= 0
         points = detect_growing(features, cfg)
         assert [p.time_s for p in points] == [features.times[300]]
         assert points[0].score > 0
@@ -347,7 +369,7 @@ class TestDetectGrowing:
         # 115, closer than n_ini to 100, so the coarse row 120 is kept.
         features = level_features([0.0] * 100 + [6.0] * 15 + [-6.0] * 285)
         cfg = BicConfig(n_ini=20, n_g=10, n_max=100, n_s=10)
-        assert _best_split(features.vectors[110:130], cfg.lam, cfg.reg_epsilon)[0] == 5
+        assert _refine_split(features.vectors, 120, cfg.n_ini, cfg.lam, cfg.reg_epsilon)[0] == 115
         points = detect_growing(features, cfg)
         assert [p.time_s for p in points] == list(features.times[[100, 120]])
 
@@ -517,23 +539,26 @@ class TestGoldenScores:
     def test_detect_growing(self, tmp_path):
         spec = SynthSpec(n_speakers=6, duration_s=5.0, noise_level=0.01, seed=42)
         points = detect_growing(synth_features(tmp_path, spec), BicConfig())
-        # Scores from the one kernel, _split_scores, on MFCC rows whose DCT is
-        # a product with features._dct_matrix.
+        # Refined scores from the running sums of a fresh _GrowingWindow, on
+        # MFCC rows whose DCT is a product with features._dct_matrix: the
+        # bits the earlier prefix-sum kernel (cumulative sums over the whole
+        # window) gave.
         assert [(p.time_s, p.score.hex()) for p in points] == [
-            (4.99, "0x1.caaee825ec05ap+8"),
-            (9.99, "0x1.34f338cf5927ap+8"),
-            (14.99, "0x1.202b0e644b159p+9"),
-            (19.990000000000002, "0x1.435ee0f371c6dp+9"),
-            (25.0, "0x1.ce0b6d3a7b24ap+8"),
+            (4.99, "0x1.caaee825ec222p+8"),
+            (9.99, "0x1.34f338cf592cap+8"),
+            (14.99, "0x1.202b0e644b1ffp+9"),
+            (19.990000000000002, "0x1.435ee0f371c0bp+9"),
+            (25.0, "0x1.ce0b6d3a7b25ap+8"),
         ]
-        # The same points as the earlier prefix-sum kernel of _best_split
-        # (cumulative sums over the whole window) scored them on these rows.
-        prefix_sums = [
-            "0x1.caaee825ec222p+8",
-            "0x1.34f338cf592cap+8",
-            "0x1.202b0e644b1ffp+9",
-            "0x1.435ee0f371c0bp+9",
-            "0x1.ce0b6d3a7b25ap+8",
+        # The same points as the earlier split-range kernel (one product for
+        # the first left side, one more row for each later split) scored them
+        # on these rows.
+        split_range = [
+            "0x1.caaee825ec05ap+8",
+            "0x1.34f338cf5927ap+8",
+            "0x1.202b0e644b159p+9",
+            "0x1.435ee0f371c6dp+9",
+            "0x1.ce0b6d3a7b24ap+8",
         ]
         # The same points as the prefix-sum kernel scored them on MFCC rows
         # from scipy.fft.dct, and as the two-pass kernel (one _ml_cov per
@@ -552,7 +577,7 @@ class TestGoldenScores:
             "0x1.435ee0f37229dp+9",
             "0x1.ce0b6d3a7a7e2p+8",
         ]
-        for want in (prefix_sums, scipy_dct, two_pass):
+        for want in (split_range, scipy_dct, two_pass):
             for p, score in zip(points, want, strict=True):
                 assert p.score == pytest.approx(float.fromhex(score), rel=1e-9, abs=0)
 
@@ -632,13 +657,12 @@ class TestBatchedKernel:
             windows = rng.normal(0.0, 1.0, (k, n, d)) * rng.uniform(0.1, 10.0, d)
             windows[:, n // 2 :] += rng.uniform(-3.0, 3.0, (k, 1, d))
             lam = float(rng.uniform(0, 2))
-            lo, hi = d + 1, n - d - 1
-            got = _split_scores(windows, lo, hi, lam, 1e-6)
-            assert got.shape == (k, hi - lo + 1)
-            for w, rows in enumerate(windows.tolist()):
-                for b in range(lo, hi + 1):
+            for b in range(d + 1, n - d):
+                got = _split_scores(windows, b, lam, 1e-6)
+                assert got.shape == (k,)
+                for w, rows in enumerate(windows.tolist()):
                     want = scalar_delta_bic(rows, b, lam)
-                    assert got[w, b - lo] == pytest.approx(want, abs=1e-8)
+                    assert got[w] == pytest.approx(want, abs=1e-8)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_same_bits_as_interleaved_kernel(self, seed):
@@ -647,16 +671,15 @@ class TestBatchedKernel:
             k = int(rng.integers(1, 40))
             d = int(rng.integers(1, 14))
             n = int(rng.integers(2 * d + 2, 2 * d + 120))
-            lo = int(rng.integers(1, n))
-            hi = int(rng.integers(lo, n))
+            b = int(rng.integers(1, n))
             rows = rng.normal(0.0, 1.0, (n + 3 * k, d)) * rng.uniform(0.1, 10.0, d)
             rows[rng.integers(0, len(rows)) :] += rng.uniform(-3.0, 3.0, d)
             # Overlapping windows three rows apart, as fixed_window_scores views them.
             windows = np.swapaxes(sliding_window_view(rows, n, axis=0)[::3][:k], 1, 2)
             lam = float(rng.uniform(0.0, 2.0))
             eps = float(10.0 ** rng.uniform(-8, -3))
-            got = _split_scores(windows, lo, hi, lam, eps)
-            assert np.array_equal(got, interleaved_split_scores(windows, lo, hi, lam, eps))
+            got = _split_scores(windows, b, lam, eps)
+            assert np.array_equal(got, interleaved_split_scores(windows, b, b, lam, eps)[:, 0])
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -665,22 +688,34 @@ class TestBatchedKernel:
         min_b=st.integers(0, 60),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_best_split_is_first_max_of_delta_bic(self, d, n, min_b, seed):
+    def test_growing_window_is_first_max_of_delta_bic(self, d, n, min_b, seed):
         rng = np.random.default_rng(seed)
         rows = rng.normal(0.0, 1.0, (n, d))
         rows[n // 3 :] += rng.uniform(-2.0, 2.0, d)
-        b, score = _best_split(rows, 1.0, 1e-6, min_b)
+        b, score = _GrowingWindow(rows, n, min_b).best_split(n, 1.0, 1e-6)
         splits = range(max(d + 1, min_b), n - d)
         if not splits:
             assert (b, score) == (None, -math.inf)
             return
-        want = [delta_bic(rows, s, 1.0, 1e-6) for s in splits]
-        # _best_split adds the rows before a split one by one from its first
-        # split on, where delta_bic multiplies them out, so the two round
-        # differently. A score weighs d-dimensional log-determinants by n
-        # rows in all; the largest gap over 7,372 draws of this domain was
-        # 2.5e-11 * n * d.
-        tol = 1e-9 * n * d
-        assert abs(score - max(want)) <= tol
-        assert b in splits
-        assert want[b - splits[0]] >= max(want) - tol
+        assert_first_max_of_delta_bic(rows, splits, b, score)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_refine_split_is_first_max_of_delta_bic(self, seed):
+        # Rows are drawn over the whole recording, so the window is clamped
+        # to its start, to its end, or neither.
+        rng = np.random.default_rng(6000 + seed)
+        clamped = set()
+        for _ in range(30):
+            d = int(rng.integers(1, 7))
+            span = int(rng.integers(2 * d + 2, 60))
+            n = span + int(rng.integers(0, 60))
+            rows = rng.normal(0.0, 1.0, (n, d))
+            rows[int(rng.integers(0, n)) :] += rng.uniform(-2.0, 2.0, d)
+            row = int(rng.integers(0, n))
+            lo = min(max(0, row - span // 2), n - span)
+            clamped.add(("start" if lo == 0 else "") + ("end" if lo == n - span else ""))
+            b, score = _refine_split(rows, row, span, 1.0, 1e-6)
+            splits = range(d + 1, span - d)
+            assert_first_max_of_delta_bic(rows[lo : lo + span], splits, b - lo, score)
+        assert {"start", "end", ""} <= clamped
+

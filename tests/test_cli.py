@@ -196,6 +196,9 @@ class TestExitCodes:
             ("pitch_frame_s = 0.010", EXIT_PRECONDITION, "80 samples cannot cover the longest"),
             ("--seconds 1,x", EXIT_FORMAT, "--seconds"),
             ("--f0 ,", EXIT_FORMAT, "f0_hz must be empty only when omitted"),
+            ("--f0=-3000,220", EXIT_FORMAT, "f0_hz must lie above 0"),
+            ("--f0=0,220", EXIT_FORMAT, "f0_hz must lie above 0"),
+            ("--f0=4000,220", EXIT_FORMAT, "below 0.45 * sample_rate_hz"),
             ("--seconds 0.00005", EXIT_PRECONDITION, "shorter than one sample"),
             ("directory", EXIT_IO, "not a file"),
             ("out under a file", EXIT_IO, "Not a directory"),

@@ -38,6 +38,30 @@ class TestSpec:
         buffer, _ = synth_speakers(SynthSpec(duration_s=0.01, sample_rate_hz=np.int64(8000)))
         assert buffer.sample_rate_hz == 8000
 
+    @pytest.mark.parametrize(
+        "f0, rate",
+        [
+            (-3000.0, 8000),
+            (0.0, 8000),
+            (3600.0, 8000),
+            (4000.0, 8000),
+            (7200.0, 16000),
+            (float("nan"), 8000),
+            (float("inf"), 8000),
+        ],
+    )
+    def test_fundamental_must_lie_below_the_band_edge(self, f0, rate):
+        # 0.45 * 8000 = 3600 Hz: a first harmonic there or above is not
+        # rendered, and a negative one aliases.
+        with pytest.raises(ValueError, match="f0_hz"):
+            SynthSpec(f0_hz=(f0, 220.0), sample_rate_hz=rate)
+
+    def test_fundamental_just_below_the_band_edge_accepted(self):
+        buffer, _ = synth_speakers(
+            SynthSpec(n_speakers=1, duration_s=0.1, f0_hz=(3599.0,), noise_level=0.0)
+        )
+        assert np.sqrt(np.mean(buffer.samples**2)) > 0.1
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):
             SynthSpec(seed=-1)
