@@ -14,6 +14,7 @@ parameters given in seconds are converted to samples at the file rate.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,10 +40,10 @@ class AudioBuffer:
     recording's integers, 2 bytes a sample for mono and 4 for the channel
     sum, with divisor 32768 times the channel count; other input is held
     as float64 with divisor 1. `span(start, stop, out)` converts one range
-    to float64, exactly for PCM16 data, into a new array or into out, and
-    `samples` converts all of it. The pitch track and `mfcc` convert one
-    block's span at a time, so a whole recording is never held as float64
-    unless a caller reads `samples`.
+    to float64, exactly for PCM16 data, into a new array or into out (at
+    out's dtype), and `samples` converts all of it. The pitch track and
+    `mfcc` convert one block's span at a time, so a whole recording is
+    never held as float64 unless a caller reads `samples`.
     """
 
     _data: np.ndarray
@@ -70,9 +71,25 @@ class AudioBuffer:
         return len(self._data)
 
     def span(self, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Amplitudes start:stop as float64: a new array, or the head of out."""
+        """Amplitudes start:stop: a new float64 array, or the head of out."""
         data = self._data[start:stop]
-        return np.divide(data, self._divisor, out=None if out is None else out[: len(data)])
+        if out is None:
+            return np.divide(data, self._divisor)
+        return np.divide(data, self._divisor, out=out[: len(data)], dtype=out.dtype)
+
+    def sum_dtype(self, terms: int) -> type:
+        """float32 where every sum of up to `terms` amplitudes is exact in it, else float64.
+
+        Integer amplitudes k / divisor with a power-of-two divisor lie on a
+        grid that float32 holds, and since |k| <= divisor a sum of `terms`
+        of them, or of their pairwise maxima, is an integer number of grid
+        steps of at most terms * divisor, which float32 holds exactly up
+        to 2**24: at most 512 terms for mono PCM16 (divisor 2**15), 256
+        for stereo. Float data, or a divisor such as 3 * 32768, gives
+        float64.
+        """
+        on_grid = self._data.dtype.kind in "iu" and math.frexp(self._divisor)[0] == 0.5
+        return np.float32 if on_grid and terms * self._divisor <= 2**24 else np.float64
 
     @property
     def samples(self) -> np.ndarray:

@@ -18,11 +18,11 @@ gives each frame's whole chunks and its one partial chunk. AMDF takes
 off one running sum of the block. A lone frame (pitch_frame) is one
 hop of n samples. The cepstrum transforms each frame of a block
 separately, framed by `_frame_signal` as the MFCC rows are. Each block
-converts only its own span of the recording to float64
-(`AudioBuffer.span`), into one array that every block reuses, and the
-blocks run one after another on the calling thread, so working memory
-is a few block-sized buffers and does not grow with the length of the
-recording; only the output does.
+converts only its own span of the recording (`AudioBuffer.span`) into
+the head of one array that every block reuses, and forms its pair
+values in the rest of it. The blocks run one after another on the
+calling thread, so working memory is a few block-sized buffers and does
+not grow with the length of the recording; only the output does.
 
 Exactness. A buffer that load_wav returns holds 16-bit PCM integers, and
 the span of each block is converted from them on its own, exactly for a
@@ -39,6 +39,20 @@ an ACF sum differs from the per-frame sum by at most about
 n * eps * sum(|a * b|), and an AMDF sum by at most about
 eps * (2n * S + 2N * X): S = sum(|a| + |b|) over the frame's pairs, N
 the running sum's length and X = sum(|x|) over it.
+
+The AMDF's samples, pair values and chunk sums need less. A mono PCM16
+sample is k * 2**-15 with |k| <= 2**15, and so is the larger of two of
+them; any sum of up to hop of them, and so every partial sum of a chunk
+in any order, is an integer number of 2**-15 steps, at most
+2**(15 + log2(hop)) of them. float32 holds every integer up to 2**24
+exactly, so these sums are exact in float32 for hop <= 512. So where
+`AudioBuffer.sum_dtype(hop)` allows it (mono PCM16 up to a 512-sample
+hop, stereo up to 256), the AMDF converts its blocks to float32 and
+forms and chunk-sums its pair values there (an sgemm); each frame's
+adds of its chunk sums, the running sum and the normalisation stay in
+float64, so the track keeps its bits. The ACF stays in float64: a
+product of two samples alone can need 30 significant bits. So does the
+cepstrum, whose transforms would run in single precision.
 
 AMDF selection and voicing operate on the per-overlap-sample mean of the
 raw difference sum: the raw sum shrinks with lag simply because fewer
@@ -74,9 +88,12 @@ AMDF_DIP_FRACTION = 0.5
 CEPSTRAL_Z_BASE = 3.5
 CEPSTRAL_Z_SPAN = 5.0
 
-# Samples per block of the pitch track (about 320 KB of float64 per lag
-# buffer, which keeps it in cache). The block size sets speed and
-# working memory, never the output.
+# Samples per block of the pitch track: 160 KB of float32 or 320 KB of
+# float64 for each of a block's samples and its pair values, which keeps
+# them in cache. The block size sets speed and working memory, never the
+# output. On 180 s at 8 kHz (one CPU, quartiles of 11 alternating calls)
+# the AMDF track took 115-135 ms, against 145-174 ms with half the size
+# and 185-228 ms with twice it.
 _BLOCK_SAMPLES = 40960
 
 
@@ -137,43 +154,56 @@ def lag_bounds(sample_rate_hz: int, cfg: PitchConfig) -> tuple[int, int]:
     return lo, hi
 
 
-def _lag_sums(seg: np.ndarray, n: int, hop: int, m: int, lags, pair) -> np.ndarray:
+def _lag_sums(seg: np.ndarray, n: int, hop: int, m: int, lags, pair, work=None) -> np.ndarray:
     """(m, len(lags)) sums of pair(x[i], x[i + tau]) over i < n - tau per frame.
 
     seg holds m frames of n samples, hop apart, and every tau < n. Each
-    lag's pair values are formed once over seg into one reused buffer and
-    summed in hop-sized chunks by one product with (hop, 2) weights whose
-    column 1 keeps only the first (n - tau) % hop values. Frame k's sum is
-    its c = (n - tau) // hop whole chunks k .. k + c - 1 plus the partial
-    sum of chunk k + c. A lone frame (pitch_frame) is one hop of n samples.
+    lag's pair values are formed once over seg, at seg's dtype, into one
+    reused buffer and summed in hop-sized chunks by one product of (2, hop)
+    weights with the chunks: row 0 sums whole chunks, row 1 only the first
+    (n - tau) % hop values of each. Frame k's sum, added in float64, is its
+    c = (n - tau) // hop whole chunks k .. k + c - 1 plus the partial sum
+    of chunk k + c. A lone frame (pitch_frame) is one hop of n samples.
+
+    work is the pair buffer: at least (m + n // hop) * hop values of seg's
+    dtype, zero or finite (a new zeroed one when None). The tail of the
+    last partial chunk meets zero weights, and a zero weight does not
+    cancel a NaN left there.
     """
     n_chunks = m + n // hop  # covers seg, and the partial chunk of the last frame
-    work = np.zeros(n_chunks * hop)
-    chunks = work.reshape(n_chunks, hop)
-    weights = np.ones((hop, 2))
+    if work is None:
+        work = np.zeros(n_chunks * hop, seg.dtype)
+    chunks = work[: n_chunks * hop].reshape(n_chunks, hop)
+    # Each lag's weights are a free (2, hop) view of 2 hop ones then hop
+    # zeros: starting hop - part in, row 1 holds part ones.
+    ramp = np.zeros(3 * hop, seg.dtype)
+    ramp[: 2 * hop] = 1
     out = np.zeros((len(lags), m))
     for j, tau in enumerate(lags):
         pair(seg[: len(seg) - tau], seg[tau:], out=work[: len(seg) - tau])
         whole, part = divmod(n - tau, hop)
-        weights[:, 1] = np.arange(hop) < part
-        sums = chunks[: m + whole] @ weights
+        sums = ramp[hop - part : 3 * hop - part].reshape(2, hop) @ chunks[: m + whole].T
         row = out[j]
         for q in range(whole):
-            row += sums[q : q + m, 0]
-        row += sums[whole:, 1]
+            row += sums[0, q : q + m]
+        row += sums[1, whole:]
     return out.T
 
 
-def _amdf_rows(seg: np.ndarray, n: int, hop: int, m: int, lags: np.ndarray) -> np.ndarray:
+def _amdf_rows(
+    seg: np.ndarray, n: int, hop: int, m: int, lags: np.ndarray, work=None
+) -> np.ndarray:
     """(m, len(lags)) per-overlap-sample AMDF sum(|a - b|) / (n - tau) of consecutive lags.
 
     sum(|a - b|) = 2 sum(max(a, b)) - sum(a) - sum(b). With r the running
     sum of seg, frame k's sum(a) + sum(b) is r[k*hop + n - tau] - r[k*hop]
     + r[k*hop + n] - r[k*hop + tau], applied in place to the lag-major rows.
+    r is float64 whatever seg's dtype; work is the pair buffer of _lag_sums.
     """
-    rows = _lag_sums(seg, n, hop, m, lags, np.maximum).T  # lag-major, C-contiguous
+    rows = _lag_sums(seg, n, hop, m, lags, np.maximum, work).T  # lag-major, C-contiguous
     run = np.zeros(len(seg) + 1)
-    np.cumsum(seg, out=run[1:])
+    run[1:] = seg  # then summed in place: cumsum would convert seg into a temporary
+    np.add.accumulate(run, out=run)
     win = sliding_window_view(run, len(lags))
     rows *= 2.0
     rows -= win[n - lags[-1] :: hop][:m, ::-1].T  # r[k*hop + n - tau]
@@ -246,22 +276,23 @@ def _select_cepstral(values: np.ndarray, threshold: float):
 
 
 def _pitch_block(
-    seg: np.ndarray, n: int, hop: int, m: int, sample_rate_hz: int, cfg: PitchConfig
+    seg: np.ndarray, n: int, hop: int, m: int, sample_rate_hz: int, cfg: PitchConfig, work=None
 ) -> np.ndarray:
     """Pitch of the m frames of n samples, hop apart, that seg holds.
 
     Each frame must hold the longest search lag. Both are known in
     samples only here, where the rate is, so PitchConfig does not check it.
+    work is the pair buffer of _lag_sums, or None.
     """
     lo, hi = lag_bounds(sample_rate_hz, cfg)
     if n <= hi:
         raise PreconditionError(f"frame of {n} samples cannot cover the longest search lag {hi}")
     if cfg.method == ACF:
-        sums = _lag_sums(seg, n, hop, m, np.r_[0, lo : hi + 1], np.multiply)
+        sums = _lag_sums(seg, n, hop, m, np.r_[0, lo : hi + 1], np.multiply, work)
         idx, voiced = _select_acf(sums[:, 1:], sums[:, 0], cfg.voicing_threshold)
     elif cfg.method == AMDF:
         lags = np.arange(lo - 1, min(hi + 1, n - 1) + 1)
-        padded = _amdf_rows(seg, n, hop, m, lags)
+        padded = _amdf_rows(seg, n, hop, m, lags, work)
         if hi + 1 == n:  # the right neighbor lag overlaps no samples
             padded = np.pad(padded, ((0, 0), (0, 1)), constant_values=np.inf)
         idx, voiced = _select_amdf(padded, cfg.voicing_threshold)
@@ -291,14 +322,22 @@ def pitch_track(buffer: AudioBuffer, cfg: PitchConfig | None = None) -> PitchTra
         raise PreconditionError("audio shorter than one frame")
     pitch = np.empty(len(frames))
     block = max(1, _BLOCK_SAMPLES // hop)
-    # Each block converts its samples into the first block's array, which
-    # no later block outgrows: a new array per block cost some 6,000 page
-    # faults and 10% of the time on 180 s at 8 kHz.
-    seg = None
+    # Every block converts its samples into the head of one zeroed array
+    # and forms its pair values in the rest: new arrays per block cost
+    # 6,000-10,000 page faults and 10% of the time or more on 180 s at
+    # 8 kHz. The AMDF's hop-sized chunk sums are exact in float32 where
+    # the buffer's amplitude grid allows (AudioBuffer.sum_dtype).
+    dtype = buffer.sum_dtype(hop) if cfg.method == AMDF else np.float64
+    most = min(block, len(frames))
+    span = (most - 1) * hop + n
+    pairs = 0 if cfg.method == CEPSTRAL else (most + n // hop) * hop
+    store = np.zeros(span + pairs, dtype)
     for start in range(0, len(frames), block):
         m = min(block, len(frames) - start)
-        seg = buffer.span(start * hop, (start + m - 1) * hop + n, seg)
-        pitch[start : start + m] = _pitch_block(seg, n, hop, m, buffer.sample_rate_hz, cfg)
+        seg = buffer.span(start * hop, (start + m - 1) * hop + n, store)
+        pitch[start : start + m] = _pitch_block(
+            seg, n, hop, m, buffer.sample_rate_hz, cfg, store[span:]
+        )
     return PitchTrack(times=times, pitch_hz=pitch)
 
 

@@ -99,8 +99,13 @@ class TestAcf:
             pitch_frame([], 8000, PitchConfig(method=ACF))
 
 
-def per_frame_lag_sums(seg, n, hop, m, lags, pair):
-    """Reference kernel: one np.sum per frame over its own window of each lag's pair buffer."""
+def per_frame_lag_sums(seg, n, hop, m, lags, pair, work=None):
+    """Reference kernel: one np.sum per frame over its own window of each lag's pair buffer.
+
+    It takes _lag_sums's arguments, but forms the pair values in a float64
+    buffer of its own whatever work and seg's dtype are.
+    """
+    seg = np.asarray(seg, dtype=np.float64)
     out = np.empty((m, len(lags)))
     work = np.empty(len(seg))
     frames = sliding_window_view(work, n)[::hop][:m]
@@ -485,8 +490,8 @@ class TestAmdfExactAtFullScale:
         """Checks every _amdf_rows call against the direct sums; collects each call's m."""
         kernel, calls = pitch._amdf_rows, []
 
-        def checked_amdf_rows(seg, n, hop, m, lags):
-            got = kernel(seg, n, hop, m, lags)
+        def checked_amdf_rows(seg, n, hop, m, lags, work=None):
+            got = kernel(seg, n, hop, m, lags, work)
             direct = per_frame_lag_sums(seg, n, hop, m, lags, abs_diff) / (n - lags)
             assert np.array_equal(got, direct)
             calls.append(m)
@@ -567,6 +572,92 @@ class TestPcmBackedBuffer:
             run = build_method(name, RunConfig())
             got, want = run(pcm).change_points.times, run(floats).change_points.times
             assert len(want) > 0 and np.array_equal(got, want), name
+
+
+class TestFloat32Rule:
+    """The AMDF runs in float32 exactly where every chunk sum is exact there:
+    integer amplitudes on a power-of-two grid with hop * divisor <= 2**24."""
+
+    @staticmethod
+    def kernel_dtypes(monkeypatch, buf, cfg):
+        """The dtypes of every block's samples and every _lag_sums call of the track."""
+        block, lag_sums, seen = pitch._pitch_block, pitch._lag_sums, set()
+
+        def recorded_block(seg, *args):
+            seen.add(("block", seg.dtype))
+            return block(seg, *args)
+
+        def recorded_lag_sums(seg, n, hop, m, lags, pair, work=None):
+            assert work is not None and work.dtype == seg.dtype and np.all(np.isfinite(work))
+            seen.add(("lag_sums", seg.dtype))
+            return lag_sums(seg, n, hop, m, lags, pair, work)
+
+        monkeypatch.setattr(pitch, "_pitch_block", recorded_block)
+        monkeypatch.setattr(pitch, "_lag_sums", recorded_lag_sums)
+        pitch_track(buf, cfg)
+        return seen
+
+    # (channels, hop in samples at 8 kHz, float32?): each grid at its edge.
+    @pytest.mark.parametrize(
+        "channels, hop, single",
+        [(1, 80, True), (1, 512, True), (1, 513, False), (2, 256, True), (2, 257, False),
+         (3, 80, False)],
+    )
+    def test_pcm16_amdf_dtype(self, tmp_path, monkeypatch, channels, hop, single):
+        buf = TestAmdfExactAtFullScale.squares(tmp_path, 8000, min(channels, 2), 3 * 8000)
+        if channels == 3:  # divisor 3 * 32768 is not a power of two
+            path = tmp_path / "three.wav"
+            samples = buf.samples
+            write_pcm16_wav(path, [samples, 0.5 * samples, -samples], 8000)
+            buf = load_wav(path)
+        cfg = PitchConfig(method=AMDF, hop_s=hop / 8000)
+        seen = self.kernel_dtypes(monkeypatch, buf, cfg)
+        want = np.dtype(np.float32 if single else np.float64)
+        assert seen == {("block", want), ("lag_sums", want)}
+
+    @pytest.mark.parametrize("method", [ACF, CEPSTRAL])
+    def test_other_detectors_stay_float64(self, tmp_path, monkeypatch, method):
+        buf = TestAmdfExactAtFullScale.squares(tmp_path, 8000, 1, 8000)
+        seen = self.kernel_dtypes(monkeypatch, buf, PitchConfig(method=method))
+        f64 = np.dtype(np.float64)
+        assert seen == ({("block", f64), ("lag_sums", f64)} if method == ACF else {("block", f64)})
+
+    def test_float_input_stays_float64(self, monkeypatch):
+        samples = pcm16(harmonic_tone(150, 8000, 8000))  # on the PCM16 grid, but float
+        seen = self.kernel_dtypes(monkeypatch, buffer_from(samples), PitchConfig(method=AMDF))
+        assert seen == {("block", np.dtype(np.float64)), ("lag_sums", np.dtype(np.float64))}
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_full_scale_at_largest_hop_equals_float64_oracle(self, tmp_path, monkeypatch, channels):
+        # 100 ms frames at the largest float32 hop: every whole chunk sums
+        # 512 / channels full-scale maxima, up to 2**24 grid steps.
+        buf = TestAmdfExactAtFullScale.squares(tmp_path, 8000, channels, 4 * pitch._BLOCK_SAMPLES)
+        hop = 512 // channels
+        cfg = PitchConfig(method=AMDF, frame_len_s=0.1, hop_s=hop / 8000)
+        kernel, calls = pitch._amdf_rows, []
+
+        def checked_amdf_rows(seg, n, hop, m, lags, work=None):
+            assert (seg.dtype, hop * channels) == (np.float32, 512) and n > hop
+            got = kernel(seg, n, hop, m, lags, work)
+            direct = per_frame_lag_sums(seg, n, hop, m, lags, abs_diff)
+            assert direct.dtype == np.float64
+            assert np.array_equal(got, direct / (n - lags))
+            calls.append(m)
+            return got
+
+        monkeypatch.setattr(pitch, "_amdf_rows", checked_amdf_rows)
+        track = pitch_track(buf, cfg)
+        assert len(calls) >= 2 and sum(calls) == len(track)
+        assert np.count_nonzero(track.pitch_hz) > 0
+
+    def test_one_more_sample_per_chunk_rounds_in_float32(self):
+        # The rule's edge is tight: 513 maxima of 32767 / 32768 sum to
+        # 513 * 32767 steps, an odd number above 2**24 that float32 rounds.
+        top = 32767 / 32768
+        for hop, exact in ((512, True), (513, False)):
+            seg = np.full(hop, top, dtype=np.float32)
+            got = pitch._lag_sums(seg, hop, hop, 1, np.arange(1), np.maximum)[0, 0]
+            assert (got == hop * top) == exact
 
 
 class TestSineAccuracy:
