@@ -28,11 +28,19 @@ window of a stack, centred at its window's mean, with one product per
 side: `delta_bic` (and through it `verify_change`) splits a stack of
 one, `fixed_window_scores` blocks of windows at their centre.
 `_GrowingWindow` scores every admissible split of a window from running
-sums that add its rows one by one: `detect_growing` keeps one for all
-the windows that grow from one start, centred at the mean of the first
-of them, extends its sums by the new rows only and factors each left
-side once, when a window first admits its split; `_refine_split` scores
-its one window with a fresh one, centred at that window's mean.
+sums that add its rows one by one: `detect_growing` keeps its state for
+all the windows that grow from one start, centred at the mean of the
+first of them, extends its sums by the new rows only and factors each
+left side once, when a window first admits its split; `_refine_split`
+scores its one window, centred at that window's mean.
+
+One `_GrowingWindow` serves a whole `detect_growing` call. Its arrays
+are allocated for the first start, n_max + 1 slots of sums, and every
+later start, slide and refinement restarts it in them. It factors its
+sides _SPLIT_CHUNK splits at a time, through batch arrays allocated with
+it, so a sweep's working memory is set by n_max and the chunk, not by
+the length of the recording or the number of starts. Neither changes a
+bit of a score: each matrix is summed and factored on its own.
 
 A running sum adds the rows before split b one by one where `delta_bic`
 multiplies them out, so the two scores of split b differ in the last
@@ -66,6 +74,12 @@ DEFAULT_REG_EPSILON = 1e-6
 # Windows per block of fixed_window_scores: under 1 MB of working memory
 # for one-second windows at a 5 ms hop. Larger blocks are no faster.
 _FIXED_BLOCK = 32
+
+# Sides per batch of _GrowingWindow, factored through arrays allocated once per sweep.
+# A sweep's working memory at the default sizes is 1.22 MB at 64, 1.46 MB at 128,
+# 1.74 MB at 192 and 2.02 MB at 256: above 128 it passes mfcc's 1.6 MB and would raise
+# the BIC methods' peak.
+_SPLIT_CHUNK = 128
 
 # verify_change's tolerance on row start times, in seconds: far above the
 # rounding of a frame time, far below any hop.
@@ -218,20 +232,26 @@ def _whole_and_right_log_dets(s_left, c_left, s_whole, c_whole, n: int, b, reg_e
     return log_dets[..., :1], log_dets[..., 1:]
 
 
-def _ml_log_dets(sums: np.ndarray, outer: np.ndarray, count, reg_epsilon: float) -> np.ndarray:
-    """_log_dets of the ML covariances of row sets of these counts; overwrites sums and outer."""
+def _ml_log_dets(
+    sums: np.ndarray, outer: np.ndarray, count, reg_epsilon: float, products=None
+) -> np.ndarray:
+    """_log_dets of the ML covariances of row sets of these counts; overwrites sums and outer,
+    and products, an array shaped like outer for the outer products of the means, if given."""
     count = np.asarray(count)[..., None]  # broadcasts against sums
     mean = np.divide(sums, count, out=sums)
     outer /= count[..., None]
-    outer -= mean[..., :, None] * mean[..., None, :]
+    outer -= np.multiply(mean[..., :, None], mean[..., None, :], out=products)
     return _log_dets(outer, reg_epsilon)
 
 
 def _refine_split(
-    vectors: np.ndarray, row: int, span: int, lam: float, reg_epsilon: float
+    vectors: np.ndarray, row: int, span: int, lam: float, reg_epsilon: float,
+    grown: _GrowingWindow | None = None,
 ) -> tuple[int, float]:
     """(split, score) of the first maximum of delta_bic over the admissible splits of a
-    span-row window centered on a detected change, scored by a fresh _GrowingWindow.
+    span-row window centered on a detected change, scored by _GrowingWindow grown,
+    restarted on that window, or by a new one if grown is None. detect_growing passes
+    its sweep's, whose start the refinement ends: the sweep restarts it next.
 
     The coarse sweep can misplace a boundary by tens of rows when the
     transition sits at a window edge; the centered second pass pins it
@@ -242,7 +262,11 @@ def _refine_split(
     hi = min(len(vectors), lo + span)
     lo = max(0, hi - span)
     window = vectors[lo:hi]
-    b, score = _GrowingWindow(window, len(window), 0).best_split(len(window), lam, reg_epsilon)
+    if grown is None:
+        grown = _GrowingWindow(window, len(window), 0)
+    else:
+        grown.restart(window, len(window), 0)
+    b, score = grown.best_split(len(window), lam, reg_epsilon)
     return lo + b, score
 
 
@@ -258,10 +282,11 @@ def detect_growing(features: FeatureMatrix, cfg: BicConfig | None = None) -> lis
     after the latest change point; a refined split that is not, or that
     does not score above 0, falls back to the coarse split.
 
-    The windows that grow from one start share one _GrowingWindow: a
-    grown window adds its new rows to the running sums and factors the
-    left sides of its new splits only. A restart or a slide begins a new
-    one, so the state never holds more than n_max + 1 slots of sums.
+    The windows that grow from one start share the state of a
+    _GrowingWindow: a grown window adds its new rows to the running sums
+    and factors the left sides of its new splits only. One _GrowingWindow
+    serves the whole sweep: a restart, a slide or a refinement restarts it
+    in the arrays it allocated for the first start.
     """
     cfg = cfg or BicConfig()
     n_rows = len(features)
@@ -271,25 +296,28 @@ def detect_growing(features: FeatureMatrix, cfg: BicConfig | None = None) -> lis
     if cfg.n_ini < 2 * (d + 1):
         raise PreconditionError("n_ini must hold at least 2(d+1) rows")
     points: list[ChangePoint] = []
+    # The first start's rows are the most any start or refinement holds.
+    window = _GrowingWindow(features.vectors[: cfg.n_max], cfg.n_ini, 0)
     # last is the row of the latest change point; -n_ini leaves every split admissible.
-    start, size, last, window = 0, cfg.n_ini, -cfg.n_ini, None
+    start, size, last, fresh = 0, cfg.n_ini, -cfg.n_ini, False
     while start + size <= n_rows:
-        if window is None:
+        if fresh:
             rows = features.vectors[start : start + cfg.n_max]
-            window = _GrowingWindow(rows, size, last + cfg.n_ini - start)
+            window.restart(rows, size, last + cfg.n_ini - start)
         b, score = window.best_split(size, cfg.lam, cfg.reg_epsilon)
+        fresh = score > 0 or size == cfg.n_max
         if score > 0:
             row, refined = _refine_split(
-                features.vectors, start + b, cfg.n_ini, cfg.lam, cfg.reg_epsilon
+                features.vectors, start + b, cfg.n_ini, cfg.lam, cfg.reg_epsilon, window
             )
             if refined <= 0 or row - last < cfg.n_ini:
                 row, refined = start + b, score
             points.append(ChangePoint(time_s=float(features.times[row]), score=refined))
-            start, size, last, window = row, cfg.n_ini, row, None
+            start, size, last = row, cfg.n_ini, row
         elif size < cfg.n_max:
             size = min(size + cfg.n_g, cfg.n_max)
         else:
-            start, window = start + cfg.n_s, None
+            start += cfg.n_s
     return points
 
 
@@ -300,18 +328,35 @@ class _GrowingWindow:
     Slot j of the sums holds rows[:j], centred at the mean of the first window's rows, a
     point that stays fixed while the window grows; slot 0 is zero. A split's left side is
     its slot, its right side the window's slot less its own, and its left log-determinant
-    is factored once, when a window first admits the split. detect_growing keeps one for
-    all the windows from one start; _refine_split scores its one window with a fresh one.
+    is factored once, when a window first admits the split.
+
+    Its arrays are allocated once, for len(rows) rows, and restart begins a new start on
+    as many rows or fewer in them: detect_growing keeps one for its whole sweep, and
+    _refine_split scores its window in the sweep's. Sides are factored _SPLIT_CHUNK at a
+    time in batch arrays of their own.
     """
 
     def __init__(self, rows: np.ndarray, size: int, min_b: int):
         n, d = rows.shape
+        self.sums = np.empty((n + 1, d))
+        self.outer = np.empty((n + 1, d, d))
+        self.left = np.empty(n + 1)
+        # _ml_log_dets's sums, outer and products for one batch of sides.
+        self.batch = (
+            np.empty((_SPLIT_CHUNK, d)),
+            np.empty((_SPLIT_CHUNK, d, d)),
+            np.empty((_SPLIT_CHUNK, d, d)),
+        )
+        self.restart(rows, size, min_b)
+
+    def restart(self, rows: np.ndarray, size: int, min_b: int):
+        """Begin the windows rows[:size] that grow from a new start."""
+        d = rows.shape[1]
         self.rows = rows
         self.centre = rows[:size].mean(axis=0)
         self.lo = max(d + 1, min_b)
-        self.sums = np.zeros((n + 1, d))
-        self.outer = np.zeros((n + 1, d, d))
-        self.left = np.empty(n + 1)
+        self.sums[0] = 0.0
+        self.outer[0] = 0.0
         self.summed = 0  # slots 0..summed hold sums; left holds splits lo..summed - d - 1
 
     def best_split(self, size: int, lam: float, reg_epsilon: float):
@@ -329,17 +374,37 @@ class _GrowingWindow:
         np.multiply(sums[1:, :, None], sums[1:, None, :], out=outer[1:])
         np.cumsum(sums, axis=0, out=sums)
         np.cumsum(outer, axis=0, out=outer)
-        new = np.arange(max(lo, known - d), hi + 1)
-        self.left[new] = _ml_log_dets(self.sums[new], self.outer[new], new, reg_epsilon)
         self.summed = size
+        new = np.arange(max(lo, known - d), hi + 1)
+        self.left[new] = self._side_log_dets(new, None, reg_epsilon)
+        # The whole window is the right side of the split at 0, whose slot is zero.
         b = np.arange(lo, hi + 1)
-        whole, right = _whole_and_right_log_dets(
-            self.sums[lo : hi + 1], self.outer[lo : hi + 1], self.sums[size], self.outer[size],
-            size, b, reg_epsilon,
-        )
+        whole_and_right = self._side_log_dets(np.concatenate([[0], b]), size, reg_epsilon)
+        whole, right = whole_and_right[:1], whole_and_right[1:]
         scores = _scores(size, d, b, whole, self.left[lo : hi + 1], right, lam)
         best = int(np.argmax(scores))
         return lo + best, float(scores[best])
+
+    def _side_log_dets(self, splits: np.ndarray, size: int | None, reg_epsilon: float):
+        """_ml_log_dets of the left sides of these splits, or given size of their right sides
+        in rows[:size], factored _SPLIT_CHUNK at a time in the batch arrays."""
+        log_dets = np.empty(len(splits))
+        batch_sums, batch_outer, products = self.batch
+        for i in range(0, len(splits), _SPLIT_CHUNK):
+            part = splits[i : i + _SPLIT_CHUNK]
+            sums, outer = batch_sums[: len(part)], batch_outer[: len(part)]
+            # mode="clip" takes into out directly, where the default would buffer a copy.
+            np.take(self.sums, part, axis=0, out=sums, mode="clip")
+            np.take(self.outer, part, axis=0, out=outer, mode="clip")
+            count = part
+            if size is not None:
+                np.subtract(self.sums[size], sums, out=sums)
+                np.subtract(self.outer[size], outer, out=outer)
+                count = size - part
+            log_dets[i : i + len(part)] = _ml_log_dets(
+                sums, outer, count, reg_epsilon, products[: len(part)]
+            )
+        return log_dets
 
 
 def _resolve_fixed_window(features: FeatureMatrix, cfg: BicConfig) -> int:

@@ -13,9 +13,16 @@ computes only each candidate's window of rows this way.
 
 Each block of rows converts only the samples it covers to float64
 (`AudioBuffer.span`, into one array that the blocks reuse) and frames
-them; the recording is never held whole as float64. On a PCM16 buffer from load_wav the conversion of each block
-has the bits of the whole recording's amplitudes (exact for one or two
-channels), so neither the block nor the row range shows in a row.
+them; the recording is never held whole as float64. On a PCM16 buffer
+from load_wav the conversion of each block has the bits of the whole
+recording's amplitudes (exact for one or two channels), so neither the
+block nor the row range shows in a row.
+
+The blocks of one call also share their windowed frames, in one
+zero-tailed (rows, nfft) array that rfft reads whole, so numpy pads no
+copy of its own, and their magnitude spectra. A block allocates only
+rfft's complex output and its small products, and the working memory
+of a call is set by _BLOCK_ROWS, not by the length.
 """
 
 from __future__ import annotations
@@ -32,9 +39,20 @@ from .pitch import next_pow2
 
 LOG_FLOOR = 1e-10
 
-# Rows per block of mfcc. Larger blocks are no faster and hold more
-# memory.
-_BLOCK_ROWS = 512
+# Rows per block of mfcc. The working memory of a call doubles with the
+# block, while time falls by only a few per cent from 256 rows to 512.
+# Medians of 11 alternating calls on one CPU, on PCM16 noise (x86-64,
+# numpy 2.4):
+#
+#   rows   180 s at 16 kHz / 180 s at 8 kHz / 30 s at 8 kHz   working memory (30 s)
+#     64   110-114 / 55-56 / 9.5 ms                            0.46 MB
+#    128    96-100 / 47-49 / 8.2-8.5 ms                        0.80 MB
+#    256     92-94 / 47    / 8.0-8.5 ms                        1.59 MB
+#    512     89-91 / 44-45 / 7.8 ms                            3.18 MB
+#
+# mfcc's working memory is the largest of a BIC method's stages, so the
+# block sets their peak; at 256 rows it is near the growing sweep's 1.46 MB.
+_BLOCK_ROWS = 256
 
 # OpenBLAS computes a matrix product with other kernels, whose last bits
 # differ, for some row counts: all counts of 46 or fewer, and for the DCT
@@ -179,15 +197,23 @@ def mfcc(
     dct = _dct_matrix(cfg.n_mel_filters)
     first = 0 if cfg.include_c0 else 1
     vectors = np.empty((len(frames), cfg.n_coeffs))
+    # Shared by the blocks: windowed frames ahead of the zero tail that rfft reads as its
+    # padding, and their magnitude spectra.
+    rows_held = min(_BLOCK_ROWS, len(frames))
+    windowed = np.zeros((rows_held, nfft))
+    magnitude = np.empty((rows_held, nfft // 2 + 1))
     span = None  # the first block's samples; later blocks convert into it, as in pitch_track
     for start in range(0, len(frames), _BLOCK_ROWS):
         block = frames[start : start + _BLOCK_ROWS]
+        k = len(block)
         span = buffer.span(block[0] * cfg.hop, block[-1] * cfg.hop + cfg.window_len, span)
         framed = _frame_signal(span, cfg.window_len, block.step * cfg.hop)
-        magnitude = np.abs(np.fft.rfft(framed * window, nfft, axis=1))
-        log_energies = np.log(_product(magnitude, bank_t) + LOG_FLOOR)
+        np.multiply(framed, window, out=windowed[:k, : cfg.window_len])
+        np.abs(np.fft.rfft(windowed[:k], axis=1), out=magnitude[:k])
+        log_energies = np.log(_product(magnitude[:k], bank_t) + LOG_FLOOR)
         coeffs = _product(log_energies, dct)
-        vectors[start : start + _BLOCK_ROWS] = coeffs[:, first : first + cfg.n_coeffs]
+        vectors[start : start + k] = coeffs[:, first : first + cfg.n_coeffs]
+    del windowed, magnitude, span  # freed before FeatureMatrix checks the rows
     return FeatureMatrix(vectors=vectors, times=times)
 
 

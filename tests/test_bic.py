@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from speakerseg import pitch_seg
+from speakerseg import bic, pitch_seg
 from speakerseg.audio_io import AudioBuffer, load_wav
 from speakerseg.bic import (
     BicConfig,
@@ -703,6 +703,19 @@ class TestBatchedKernel:
             assert (b, score) == (None, -math.inf)
             return
         assert_first_max_of_delta_bic(rows, splits, b, score)
+
+    def test_split_chunks_keep_every_bit(self, monkeypatch):
+        # Turns longer than n_max: the sweep grows, slides, restarts and refines.
+        rng = np.random.default_rng(5)
+        means = np.repeat(rng.uniform(-2.0, 2.0, (4, 13)), 750, axis=0)
+        features = FeatureMatrix(rng.normal(0.0, 1.0, (3000, 13)) + means, np.arange(3000) * 0.01)
+        swept = []
+        # 5 splits a batch, the default, and one batch for all of a window's sides.
+        for chunk in (5, bic._SPLIT_CHUNK, BicConfig().n_max + 1):
+            monkeypatch.setattr(bic, "_SPLIT_CHUNK", chunk)
+            swept.append([(p.time_s, p.score.hex()) for p in detect_growing(features)])
+        assert len(swept[0]) == 3
+        assert swept[0] == swept[1] == swept[2]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_refine_split_is_first_max_of_delta_bic(self, seed):

@@ -17,6 +17,10 @@ from speakerseg.features import (
 from conftest import buffer_from, sine
 
 
+# Block sizes at which mfcc's rows are checked bit for bit: below, at and above _BLOCK_ROWS.
+BLOCK_SIZES = (64, 256, 512)
+
+
 def three_block_samples():
     """Tone plus noise spanning exactly three blocks of mfcc rows at the default config."""
     rng = np.random.default_rng(12)
@@ -76,34 +80,38 @@ class TestValues:
         assert np.max(diff[:, 1:]) < 1e-6
         assert np.min(diff[:, 0]) > 1e-3
 
-    def test_prefix_rows_match_across_block_boundary(self):
-        block = features._BLOCK_ROWS
-        samples = three_block_samples()
-        # All 26 coefficients too: some row counts change the last bits of
-        # only the last DCT columns.
-        for cfg in (MfccConfig(), MfccConfig(n_coeffs=26)):
-            whole = mfcc(buffer_from(samples), cfg).vectors
-            assert len(whole) == 3 * block
-            for rows in (1, 41, 46, 65, 67, 130, block - 3, block + 6, 2 * block + 500):
-                prefix = mfcc(buffer_from(samples[: 80 * rows + 120]), cfg).vectors
-                assert len(prefix) == rows
-                assert np.array_equal(prefix, whole[:rows]), (cfg.n_coeffs, rows)
+    def test_prefix_rows_match_across_block_boundary(self, monkeypatch):
+        for block in BLOCK_SIZES:
+            monkeypatch.setattr(features, "_BLOCK_ROWS", block)
+            samples = three_block_samples()
+            # All 26 coefficients too: some row counts change the last bits of
+            # only the last DCT columns.
+            for cfg in (MfccConfig(), MfccConfig(n_coeffs=26)):
+                whole = mfcc(buffer_from(samples), cfg).vectors
+                assert len(whole) == 3 * block
+                # The last prefix ends inside the third block.
+                for rows in (1, 41, 46, 65, 67, 130, block - 3, block + 6, 2 * block + block // 2):
+                    prefix = mfcc(buffer_from(samples[: 80 * rows + 120]), cfg).vectors
+                    assert len(prefix) == rows
+                    assert np.array_equal(prefix, whole[:rows]), (block, cfg.n_coeffs, rows)
 
-    def test_row_ranges_match_whole_recording(self):
-        block = features._BLOCK_ROWS
-        buf = buffer_from(three_block_samples())
-        spans = (
-            slice(10, 10), slice(7, 8), slice(100, 140), slice(200, 241),
-            slice(block - 12, block + 18), slice(2 * block - 1, 3 * block), slice(None),
-            slice(3 * block - 5, 10 * block), slice(-30, -7),
-        )
-        for cfg in (MfccConfig(), MfccConfig(n_coeffs=26)):
-            whole = mfcc(buf, cfg)
-            for span in spans:
-                part = mfcc(buf, cfg, span)
-                assert part.vectors.shape == whole.vectors[span].shape
-                assert part.vectors.tobytes() == whole.vectors[span].tobytes(), (cfg, span)
-                assert part.times.tobytes() == whole.times[span].tobytes(), (cfg, span)
+    def test_row_ranges_match_whole_recording(self, monkeypatch):
+        for block in BLOCK_SIZES:
+            monkeypatch.setattr(features, "_BLOCK_ROWS", block)
+            buf = buffer_from(three_block_samples())
+            spans = (
+                slice(10, 10), slice(7, 8), slice(100, 140), slice(200, 241),
+                slice(block - 12, block + 18), slice(2 * block - 1, 3 * block), slice(None),
+                slice(3 * block - 5, 10 * block), slice(-30, -7),
+            )
+            for cfg in (MfccConfig(), MfccConfig(n_coeffs=26)):
+                whole = mfcc(buf, cfg)
+                for span in spans:
+                    part = mfcc(buf, cfg, span)
+                    where = (block, cfg, span)
+                    assert part.vectors.shape == whole.vectors[span].shape
+                    assert part.vectors.tobytes() == whole.vectors[span].tobytes(), where
+                    assert part.times.tobytes() == whole.times[span].tobytes(), where
 
     def test_no_nan_for_noise(self):
         rng = np.random.default_rng(2)
