@@ -1,20 +1,23 @@
 """WAV loading, sample normalization and frame slicing.
 
 Only uncompressed 16-bit PCM RIFF/WAVE files are read, plain or as
-WAVE_FORMAT_EXTENSIBLE with the PCM subformat. The samples stay integers:
-mono as int16, a view of the file's bytes, and k channels as their int32
-sum. They become float64 amplitudes only when a block of them is read
-(`AudioBuffer.span`), divided by 32768 or k * 32768, so the amplitude
-domain is exactly [-1, 1) and multi-channel audio is averaged to mono.
-For one or two channels each quotient is a multiple of 2**-16 and exact;
-for k channels it is fl(sum / k) * 2**-15, the bits of the float64 mean
-of the channels over 32768. No resampling is performed anywhere: analysis
+WAVE_FORMAT_EXTENSIBLE with the PCM subformat. `load_wav` reads only the
+chunk headers; the samples stay in the file until a block of them is
+read (`AudioBuffer.span`), which reads just that block's frames: mono as
+int16 and k channels as their int32 sum. They become float64 amplitudes
+divided by 32768 or k * 32768, so the amplitude domain is exactly
+[-1, 1) and multi-channel audio is averaged to mono. For one or two
+channels each quotient is a multiple of 2**-16 and exact; for k channels
+it is fl(sum / k) * 2**-15, the bits of the float64 mean of the channels
+over 32768. A file that changes after loading makes the next read
+raise WavFormatError. No resampling is performed anywhere: analysis
 parameters given in seconds are converted to samples at the file rate.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,26 +35,75 @@ PCM_SUBFORMAT = bytes.fromhex("0100000000001000800000aa00389b71")
 STREAMED_SIZE = 0xFFFFFFFF
 
 
+class _WavFrames:
+    """The frames of a WAV file's data chunk, read from the file per slice.
+
+    Stands in for the one-dimensional integer array an AudioBuffer holds:
+    it has a length, a dtype (int16 for mono, int32 for the channel sum)
+    and slicing, and a slice reads just those frames into a new array.
+    The file is opened for each read, so no descriptor outlives one, and
+    a read first checks the file's (inode, size, mtime_ns) against those
+    at load: a file replaced, truncated or rewritten since raises
+    WavFormatError rather than mixing two recordings. A rewrite that
+    keeps the inode and the size and lands within the file system's
+    timestamp granularity of the load is not seen. A deleted file raises
+    FileNotFoundError.
+    """
+
+    ndim = 1
+
+    def __init__(self, path: str, offset: int, frames: int, channels: int, stamp: tuple):
+        self._path = path
+        self._offset = offset
+        self._frames = frames
+        self._channels = channels
+        self._stamp = stamp
+        self.dtype = np.dtype("<i2" if channels == 1 else np.int32)
+
+    def __len__(self) -> int:
+        return self._frames
+
+    def __getitem__(self, key: slice) -> np.ndarray:
+        start, stop, step = key.indices(self._frames)
+        if step != 1:
+            raise IndexError("WAV frames are read in unit-step slices")
+        ints = np.empty(max(stop - start, 0) * self._channels, dtype="<i2")
+        with open(self._path, "rb") as fp:
+            if _file_stamp(os.fstat(fp.fileno())) != self._stamp:
+                raise WavFormatError(f"{self._path}: changed since it was loaded")
+            fp.seek(self._offset + start * ints.itemsize * self._channels)
+            if fp.readinto(ints) != ints.nbytes:
+                raise WavFormatError(f"{self._path}: short read of the data chunk")
+        if self._channels > 1:  # |sum| < 65536 * 32768
+            return ints.reshape(-1, self._channels).sum(axis=1, dtype=np.int32)
+        return ints
+
+
+def _file_stamp(stat: os.stat_result) -> tuple:
+    return stat.st_ino, stat.st_size, stat.st_mtime_ns
+
+
 @dataclass(frozen=True, init=False)
 class AudioBuffer:
     """Mono audio as amplitudes in [-1, 1] plus its sample rate.
 
-    The amplitudes are held as data / divisor. `load_wav` keeps a PCM16
-    recording's integers, 2 bytes a sample for mono and 4 for the channel
-    sum, with divisor 32768 times the channel count; other input is held
-    as float64 with divisor 1. `span(start, stop, out)` converts one range
-    to float64, exactly for PCM16 data, into a new array or into out (at
-    out's dtype), and `samples` converts all of it. The pitch track and
-    `mfcc` convert one block's span at a time, so a whole recording is
-    never held as float64 unless a caller reads `samples`.
+    The amplitudes are held as data / divisor. `load_wav` leaves a PCM16
+    recording's integers in the file, read a block at a time, with
+    divisor 32768 times the channel count; an array given here is kept
+    as it is if integer and as float64 otherwise, by default with
+    divisor 1. `span(start, stop, out)` converts one range to float64,
+    exactly for PCM16 data, into a new array or into out (at out's
+    dtype), and `samples` converts all of it. The pitch track and `mfcc`
+    convert one block's span at a time, so a whole recording is never
+    held in memory unless a caller reads `samples`.
     """
 
-    _data: np.ndarray
+    _data: np.ndarray | _WavFrames
     _divisor: float
     sample_rate_hz: int
 
     def __init__(self, samples, sample_rate_hz: int, divisor: float = 1.0):
-        data = np.asarray(samples)
+        data = samples if isinstance(samples, _WavFrames) else np.asarray(samples)
         if data.dtype.kind not in "iu":
             data = data.astype(np.float64, copy=False)
         if not isinstance(sample_rate_hz, (int, np.integer)) or sample_rate_hz <= 0:
@@ -60,8 +112,13 @@ class AudioBuffer:
             raise ValueError("divisor must be positive and finite")
         if data.ndim != 1:
             raise ValueError("samples must be one-dimensional")
-        # Written so that NaN, for which every comparison is false, fails.
-        if data.size and not (np.min(data) >= -divisor and np.max(data) <= divisor):
+        # Written so that NaN, for which every comparison is false, fails. PCM16 from a
+        # file, over channels * 32768, is in range by construction and is not read here.
+        if (
+            isinstance(data, np.ndarray)
+            and data.size
+            and not (np.min(data) >= -divisor and np.max(data) <= divisor)
+        ):
             raise ValueError("samples must be finite and lie in [-1.0, 1.0]")
         object.__setattr__(self, "_data", data)
         object.__setattr__(self, "_divisor", divisor)
@@ -101,45 +158,48 @@ class AudioBuffer:
         return len(self) / self.sample_rate_hz
 
 
-def _read_chunks(data: bytes):
-    """Yield (chunk id, payload view) pairs of a RIFF body, honoring pad bytes.
+def _chunks(fp, file_size: int):
+    """Yield (chunk id, payload offset, payload size) of a RIFF body, honoring pad bytes.
 
-    A streamed data chunk runs to the end of the file.
+    Reads only the 8-byte chunk headers. A streamed data chunk runs to the
+    end of the file.
     """
-    view = memoryview(data)
     pos = 12
-    while pos + 8 <= len(data):
-        cid, size = struct.unpack_from("<4sI", data, pos)
+    while pos + 8 <= file_size:
+        fp.seek(pos)
+        cid, size = struct.unpack("<4sI", fp.read(8))
         if cid == b"data" and size == STREAMED_SIZE:
-            size = len(data) - pos - 8
-        payload = view[pos + 8 : pos + 8 + size]
-        if len(payload) < size:
+            size = file_size - pos - 8
+        if pos + 8 + size > file_size:
             raise WavFormatError(f"truncated chunk {cid!r}")
-        yield cid, payload
+        yield cid, pos + 8, size
         pos += 8 + size + (size & 1)
 
 
 def load_wav(path) -> AudioBuffer:
-    """Read a 16-bit PCM RIFF/WAVE file into a normalized mono AudioBuffer.
+    """Open a 16-bit PCM RIFF/WAVE file as a normalized mono AudioBuffer.
 
-    Raises FileNotFoundError for a missing path, WavFormatError for a
-    damaged container and UnsupportedWavError for non-PCM encodings or
-    bit depths other than 16.
+    Reads the chunk headers and the fmt chunk; the samples are read from
+    the file a span at a time (see _WavFrames). Raises FileNotFoundError
+    for a missing path, WavFormatError for a damaged container and
+    UnsupportedWavError for non-PCM encodings or bit depths other than 16.
     """
-    data = Path(path).read_bytes()
-    if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
-        raise WavFormatError(f"{path}: not a RIFF/WAVE file")
-
-    fmt = None
-    payload = None
-    for cid, body in _read_chunks(data):
-        if cid == b"fmt " and fmt is None:
-            if len(body) < 16:
-                raise WavFormatError(f"{path}: fmt chunk too short")
-            fmt = body
-        elif cid == b"data" and payload is None:
-            payload = body
-    if fmt is None or payload is None:
+    with open(path, "rb") as fp:
+        stat = os.fstat(fp.fileno())
+        head = fp.read(12)
+        if len(head) < 12 or head[:4] != b"RIFF" or head[8:12] != b"WAVE":
+            raise WavFormatError(f"{path}: not a RIFF/WAVE file")
+        fmt = None
+        data = None
+        for cid, offset, size in _chunks(fp, stat.st_size):
+            if cid == b"fmt " and fmt is None:
+                if size < 16:
+                    raise WavFormatError(f"{path}: fmt chunk too short")
+                fp.seek(offset)
+                fmt = fp.read(min(size, 40))  # an extensible fmt's subformat ends at 40
+            elif cid == b"data" and data is None:
+                data = offset, size
+    if fmt is None or data is None:
         raise WavFormatError(f"{path}: missing fmt or data chunk")
 
     audio_format, n_channels, sample_rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt, 0)
@@ -152,12 +212,12 @@ def load_wav(path) -> AudioBuffer:
     if n_channels < 1 or sample_rate < 1:
         raise WavFormatError(f"{path}: {n_channels} channels at {sample_rate} Hz")
 
-    frame_bytes = 2 * n_channels
-    usable = len(payload) - len(payload) % frame_bytes
-    ints = np.frombuffer(payload[:usable], dtype="<i2")
-    if n_channels > 1:
-        ints = ints.reshape(-1, n_channels).sum(axis=1, dtype=np.int32)  # |sum| < 65536 * 32768
-    return AudioBuffer(ints, int(sample_rate), divisor=n_channels * PCM_SCALE)
+    offset, size = data
+    # Absolute, so the reads still find the file after a chdir.
+    frames = _WavFrames(
+        os.path.abspath(path), offset, size // (2 * n_channels), n_channels, _file_stamp(stat)
+    )
+    return AudioBuffer(frames, int(sample_rate), divisor=n_channels * PCM_SCALE)
 
 
 def write_wav(path, samples, sample_rate_hz: int) -> None:

@@ -62,6 +62,9 @@ _BLOCK_ROWS = 256
 # _BLOCK_ROWS must stay a multiple of it.
 _MIN_PRODUCT_ROWS = 64
 
+# Times per block of FeatureMatrix's check that they increase.
+_CHECK_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class MfccConfig:
@@ -98,10 +101,15 @@ class FeatureMatrix:
         object.__setattr__(self, "times", times)
         if vectors.ndim != 2 or len(vectors) != len(times):
             raise ValueError("vectors must be 2-D with one time per row")
-        if vectors.size and not np.all(np.isfinite(vectors)):
+        # Neither check allocates an array as long as the rows: min and max are NaN if
+        # any row holds a NaN, for which every comparison is false, and the times are
+        # compared a block at a time.
+        if vectors.size and not (-np.inf < np.min(vectors) and np.max(vectors) < np.inf):
             raise ValueError("feature rows must be finite")
-        if len(times) > 1 and not np.all(np.diff(times) > 0):
-            raise ValueError("times must be strictly increasing")
+        for i in range(0, len(times) - 1, _CHECK_BLOCK):
+            block = times[i : i + _CHECK_BLOCK + 1]
+            if not np.all(block[1:] > block[:-1]):
+                raise ValueError("times must be strictly increasing")
 
     def __len__(self):
         return len(self.vectors)

@@ -24,7 +24,7 @@ values in the rest of it. The blocks run one after another on the
 calling thread, so working memory is a few block-sized buffers and does
 not grow with the length of the recording; only the output does.
 
-Exactness. A buffer that load_wav returns holds 16-bit PCM integers, and
+Exactness. A buffer that load_wav returns reads 16-bit PCM integers, and
 the span of each block is converted from them on its own, exactly for a
 mono or stereo file: every sample of a converted block is then a
 multiple of 2**-16 in [-1, 1], the value a float64 buffer of the whole

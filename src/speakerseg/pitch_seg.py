@@ -132,8 +132,9 @@ def candidates(
         return []
     above = diff > threshold_coef * diff.max()
     # Each run of super-threshold entries starts at a rising edge of
-    # above and stops at a falling one.
-    edges = np.flatnonzero(np.diff(np.r_[0, above, 0])).reshape(-1, 2)
+    # above and stops at a falling one. The diff of bools is their XOR, one
+    # byte a frame where int64 edges took eight.
+    edges = np.flatnonzero(np.diff(np.r_[False, above, False])).reshape(-1, 2)
     peaks = np.array([a + int(np.argmax(diff[a:z])) for a, z in edges], dtype=int)
     midpoints = 0.5 * (times[peaks] + times[peaks + 1])
     return [t for t, _ in _thin_peaks(midpoints, diff[peaks], min_gap_s)]

@@ -1,7 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
-from speakerseg.audio_io import AudioBuffer
+from speakerseg.audio_io import AudioBuffer, write_wav
 from speakerseg.synth import SynthSpec, synth_speakers
 
 
@@ -39,3 +41,26 @@ def single_speaker_buffer():
 
 def buffer_from(samples, fs=8000):
     return AudioBuffer(samples=np.asarray(samples, dtype=np.float64), sample_rate_hz=fs)
+
+
+def change_file(path, how):
+    """Change a loaded WAV file in one of the ways a later read must notice."""
+    if how == "truncated":
+        os.truncate(path, 50)  # 6 bytes into the data chunk
+    elif how == "rewritten":
+        stat = os.stat(path)
+        with open(path, "r+b") as fp:
+            fp.seek(44)
+            fp.write(bytes(stat.st_size - 44))
+        # File-system timestamps are coarse (a few ms on Linux), so the rewrite is dated
+        # 1 s later, as a rewrite some time after the load would be.
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+    elif how == "replaced":  # same size and mtime, another file
+        stat = os.stat(path)
+        other = path.with_name("other.wav")
+        write_wav(other, np.zeros(stat.st_size // 2 - 22), 8000)
+        os.utime(other, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        os.replace(other, path)
+    else:
+        assert how == "deleted"
+        os.remove(path)

@@ -1,4 +1,5 @@
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from speakerseg.audio_io import (
     write_wav,
 )
 from speakerseg.errors import PreconditionError, UnsupportedWavError, WavFormatError
+
+from conftest import change_file
 
 
 PCM_GUID = bytes.fromhex("0100000000001000800000aa00389b71")
@@ -173,6 +176,57 @@ class TestLoadWav:
         with pytest.raises(ValueError, match=message):
             write_wav(path, samples, rate)
         assert not path.exists()
+
+
+class TestFileSpans:
+    """load_wav leaves the samples in the file and reads each span from it."""
+
+    @pytest.mark.parametrize("channels", [1, 2, 3])
+    def test_spans_match_the_array_buffer(self, tmp_path, channels):
+        rng = np.random.default_rng(channels)
+        ints = rng.integers(-32768, 32768, size=999 * channels)
+        path = tmp_path / "a.wav"
+        path.write_bytes(wav_bytes(ints.tolist(), channels=channels))
+        got = load_wav(path)
+        want = AudioBuffer(ints.reshape(-1, channels).sum(axis=1), 8000, channels * 32768.0)
+        assert len(got) == len(want) == 999
+        assert got.sum_dtype(256) == want.sum_dtype(256)
+        for start, stop in [(0, 999), (0, 0), (5, 4), (998, 999), (100, 1500), (-10, 999)]:
+            assert got.span(start, stop).tobytes() == want.span(start, stop).tobytes()
+        out = np.zeros(50, np.float32)
+        assert got.span(300, 340, out).tobytes() == want.span(300, 340, out.copy()).tobytes()
+        assert got.samples.tobytes() == want.samples.tobytes()
+
+    def test_refuses_strided_reads(self, tmp_path):
+        path = tmp_path / "a.wav"
+        path.write_bytes(wav_bytes([1, 2, 3, 4]))
+        with pytest.raises(IndexError, match="unit-step"):
+            load_wav(path)._data[::2]
+
+    def test_reads_after_a_change_of_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("a.wav").write_bytes(wav_bytes([16384, -16384]))
+        buf = load_wav("a.wav")
+        monkeypatch.chdir(tmp_path.parent)
+        assert buf.samples.tolist() == [0.5, -0.5]
+
+    @pytest.mark.parametrize("how", ["truncated", "rewritten", "replaced"])
+    def test_changed_file_is_a_format_error(self, tmp_path, how):
+        path = tmp_path / "a.wav"
+        write_wav(path, np.full(4000, 0.25), 8000)
+        buf = load_wav(path)
+        assert buf.span(0, 2).tolist() == [0.25, 0.25]
+        change_file(path, how)
+        with pytest.raises(WavFormatError, match="changed since it was loaded"):
+            buf.span(0, 2)
+
+    def test_deleted_file_is_not_found(self, tmp_path):
+        path = tmp_path / "a.wav"
+        write_wav(path, np.zeros(100), 8000)
+        buf = load_wav(path)
+        change_file(path, "deleted")
+        with pytest.raises(FileNotFoundError):
+            buf.span(0, 2)
 
 
 class TestAudioBuffer:

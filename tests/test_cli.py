@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from speakerseg.audio_io import write_wav
+from speakerseg import cli
+from speakerseg.audio_io import load_wav, write_wav
 from speakerseg.cli import (
     EXIT_FORMAT,
     EXIT_IO,
@@ -25,6 +26,8 @@ from speakerseg.cli import (
     parse_config_file,
     resolve_config,
 )
+
+from conftest import change_file
 
 
 @pytest.fixture(scope="module")
@@ -233,6 +236,32 @@ class TestExitCodes:
         assert main(argv) == code
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "how, code, message",
+        [
+            ("truncated", EXIT_FORMAT, "changed since it was loaded"),
+            ("rewritten", EXIT_FORMAT, "changed since it was loaded"),
+            ("replaced", EXIT_FORMAT, "changed since it was loaded"),
+            ("deleted", EXIT_IO, "file not found"),
+        ],
+    )
+    def test_audio_changed_after_load(self, how, code, message, synth_files, tmp_path,
+                                      monkeypatch, capsys):
+        """The samples are read from the file after load_wav; a change shows then."""
+        wav = tmp_path / "a.wav"
+        wav.write_bytes(synth_files[0].read_bytes())
+        out = tmp_path / "cp.txt"
+
+        def load_then_change(path):
+            buffer = load_wav(path)
+            change_file(wav, how)
+            return buffer
+
+        monkeypatch.setattr(cli, "load_wav", load_then_change)
+        assert main(["segment", str(wav), "--method", "pitch", "--out", str(out)]) == code
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_as_main_prints_help(self, monkeypatch, capsys):
         # Dropped from sys.modules so that runpy executes a fresh copy without warning.
         monkeypatch.delitem(sys.modules, "speakerseg.cli")
@@ -268,7 +297,6 @@ class TestPitchCommand:
 
 class TestFeaturesCommand:
     def test_tsv_holds_every_mfcc_row(self, synth_files, capsys):
-        from speakerseg.audio_io import load_wav
         from speakerseg.features import mfcc
 
         wav, _ = synth_files
@@ -660,8 +688,6 @@ class TestConfigResolution:
 
 class TestBuildMethod:
     def test_all_methods_run(self, synth_files):
-        from speakerseg.audio_io import load_wav
-
         wav, _ = synth_files
         buffer = load_wav(wav)
         cfg = RunConfig()
