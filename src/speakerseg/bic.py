@@ -16,31 +16,34 @@ positive definite.
 Every score comes from one kernel (Cettolo & Vescovi, ICASSP 2003):
 sums of centred rows and of their outer products give the left side of
 a split and the whole window, a right side is the whole less its left
-side, `_ml_log_dets` factors the left sides in one batched Cholesky call
-and the whole window with the right sides in another (the whole window
-is the right side of the split at 0), and `_scores` turns the
-log-determinants into delta_bic. Batching changes no bit of a score:
-each window is summed and each matrix factored on its own, so two calls
-give the log-determinants that one would.
+side, `_ml_log_dets` factors the sides in batched Cholesky calls, and
+`_scores` turns their log-determinants into delta_bic. Batching changes
+no bit of a score: each window is summed and each matrix factored on its
+own, so a batch gives the log-determinants that one call per matrix
+would.
 
 The kernel has two paths. `_split_scores` scores one split of each
 window of a stack, centred at its window's mean, with one product per
-side: `delta_bic` (and through it `verify_change`) splits a stack of
-one, `fixed_window_scores` blocks of windows at their centre.
-`_GrowingWindow` scores every admissible split of a window from running
-sums that add its rows one by one: `detect_growing` keeps its state for
-all the windows that grow from one start, centred at the mean of the
-first of them, extends its sums by the new rows only and factors each
-left side once, when a window first admits its split; `_refine_split`
-scores its one window, centred at that window's mean.
+side, and factors the left side, the whole window and the right side of
+every window in one call: `delta_bic` (and through it `verify_change`)
+splits a stack of one, `fixed_window_scores` blocks of windows at their
+centre. `_GrowingWindow` scores every admissible split of a window from
+running sums that add its rows one by one, and factors the whole window
+with the right sides in one call, the whole being the right side of the
+split at 0. `detect_growing` keeps its state for all the windows that
+grow from one start, centred at the mean of the first of them, extends
+its sums by the new rows only and factors each left side once, when a
+window first admits its split. `_GrowingWindow.refine` scores the
+window around a detected change, its sums centred at that window's mean.
 
-One `_GrowingWindow` serves a whole `detect_growing` call. Its arrays
-are allocated for the first start, n_max + 1 slots of sums, and every
-later start, slide and refinement restarts it in them. It factors its
-sides _SPLIT_CHUNK splits at a time, through batch arrays allocated with
-it, so a sweep's working memory is set by n_max and the chunk, not by
-the length of the recording or the number of starts. Neither changes a
-bit of a score: each matrix is summed and factored on its own.
+One `_GrowingWindow` serves a whole `detect_growing` call. It holds
+n + 1 slots of sums for the most rows a window can hold, n_max or the
+whole recording if shorter, and every start, slide and refinement, the
+first start included, restarts it in them. It factors its sides
+_SPLIT_CHUNK splits at a time, through batch arrays allocated with it,
+so a sweep's working memory is set by n_max and the chunk, not by the
+length of the recording or the number of starts. Neither changes a bit
+of a score: each matrix is summed and factored on its own.
 
 A running sum adds the rows before split b one by one where `delta_bic`
 multiplies them out, so the two scores of split b differ in the last
@@ -189,47 +192,27 @@ def _split_scores(windows: np.ndarray, b: int, lam: float, reg_epsilon: float) -
     """delta_bic of each window of a (k, n, d) stack split at b, as (k,).
 
     Rows are centred at their window's mean, and the centred copy is freed before any side
-    is scored. Scoring a side overwrites its sums, so the right side, whole less left, goes
-    first.
+    is scored. Each window's sides are stacked [left, whole, right], the right the whole
+    less the left, and factored in one _ml_log_dets call.
     """
-    _, n, d = windows.shape
+    k, n, d = windows.shape
     centred = windows.copy()  # a copy, then in place: no ufunc buffers for strided windows
     centred -= centred.mean(axis=1, keepdims=True)
     first, last = centred[:, :b], centred[:, b:]
-    s_left = first.sum(axis=1)[:, None]
-    c_left = (np.swapaxes(first, 1, 2) @ first)[:, None]
-    s_whole = last.sum(axis=1) + s_left[:, 0]
-    c_whole = np.swapaxes(last, 1, 2) @ last
-    c_whole += c_left[:, 0]
+    sums, outer = np.empty((k, 3, d)), np.empty((k, 3, d, d))
+    sums[:, 0], outer[:, 0] = first.sum(axis=1), np.swapaxes(first, 1, 2) @ first
+    sums[:, 1], outer[:, 1] = last.sum(axis=1), np.swapaxes(last, 1, 2) @ last
     del centred, first, last
-    split = np.array([b])
-    whole, right = _whole_and_right_log_dets(
-        s_left, c_left, s_whole, c_whole, n, split, reg_epsilon
-    )
-    left = _ml_log_dets(s_left, c_left, split, reg_epsilon)
-    return _scores(n, d, split, whole, left, right, lam)[:, 0]
+    for side in (sums, outer):
+        side[:, 1] += side[:, 0]
+        np.subtract(side[:, 1], side[:, 0], out=side[:, 2])
+    left, whole, right = _ml_log_dets(sums, outer, [b, n, n - b], reg_epsilon).T
+    return _scores(n, d, b, whole, left, right, lam)
 
 
-def _scores(n: int, d: int, b: np.ndarray, whole, left, right, lam: float) -> np.ndarray:
+def _scores(n: int, d: int, b: int | np.ndarray, whole, left, right, lam: float) -> np.ndarray:
     """delta_bic at splits b of an n-row window from the log-determinants of its sides."""
     return 0.5 * n * whole - 0.5 * b * left - 0.5 * (n - b) * right - penalty(d, n, lam)
-
-
-def _whole_and_right_log_dets(s_left, c_left, s_whole, c_whole, n: int, b, reg_epsilon: float):
-    """(whole, right): _ml_log_dets of the n-row whole window, shaped to broadcast against
-    the splits, and of the right side of each split b, whole less left.
-
-    Both come from one batch: the whole window is the right side of the split at 0.
-    """
-    slots = (*s_left.shape[:-2], len(b) + 1)
-    sums = np.empty((*slots, *s_whole.shape[-1:]))
-    outer = np.empty((*slots, *c_whole.shape[-2:]))
-    sums[..., 0, :] = s_whole
-    outer[..., 0, :, :] = c_whole
-    np.subtract(s_whole[..., None, :], s_left, out=sums[..., 1:, :])
-    np.subtract(c_whole[..., None, :, :], c_left, out=outer[..., 1:, :, :])
-    log_dets = _ml_log_dets(sums, outer, np.concatenate([[n], n - b]), reg_epsilon)
-    return log_dets[..., :1], log_dets[..., 1:]
 
 
 def _ml_log_dets(
@@ -242,32 +225,6 @@ def _ml_log_dets(
     outer /= count[..., None]
     outer -= np.multiply(mean[..., :, None], mean[..., None, :], out=products)
     return _log_dets(outer, reg_epsilon)
-
-
-def _refine_split(
-    vectors: np.ndarray, row: int, span: int, lam: float, reg_epsilon: float,
-    grown: _GrowingWindow | None = None,
-) -> tuple[int, float]:
-    """(split, score) of the first maximum of delta_bic over the admissible splits of a
-    span-row window centered on a detected change, scored by _GrowingWindow grown,
-    restarted on that window, or by a new one if grown is None. detect_growing passes
-    its sweep's, whose start the refinement ends: the sweep restarts it next.
-
-    The coarse sweep can misplace a boundary by tens of rows when the
-    transition sits at a window edge; the centered second pass pins it
-    down. Near either end of the recording the window is clamped to it.
-    The window must hold span >= 2(d + 1) rows, so it can be split.
-    """
-    lo = max(0, row - span // 2)
-    hi = min(len(vectors), lo + span)
-    lo = max(0, hi - span)
-    window = vectors[lo:hi]
-    if grown is None:
-        grown = _GrowingWindow(window, len(window), 0)
-    else:
-        grown.restart(window, len(window), 0)
-    b, score = grown.best_split(len(window), lam, reg_epsilon)
-    return lo + b, score
 
 
 def detect_growing(features: FeatureMatrix, cfg: BicConfig | None = None) -> list[ChangePoint]:
@@ -285,8 +242,7 @@ def detect_growing(features: FeatureMatrix, cfg: BicConfig | None = None) -> lis
     The windows that grow from one start share the state of a
     _GrowingWindow: a grown window adds its new rows to the running sums
     and factors the left sides of its new splits only. One _GrowingWindow
-    serves the whole sweep: a restart, a slide or a refinement restarts it
-    in the arrays it allocated for the first start.
+    serves the whole sweep: every start, slide and refinement restarts it.
     """
     cfg = cfg or BicConfig()
     n_rows = len(features)
@@ -296,10 +252,10 @@ def detect_growing(features: FeatureMatrix, cfg: BicConfig | None = None) -> lis
     if cfg.n_ini < 2 * (d + 1):
         raise PreconditionError("n_ini must hold at least 2(d+1) rows")
     points: list[ChangePoint] = []
-    # The first start's rows are the most any start or refinement holds.
-    window = _GrowingWindow(features.vectors[: cfg.n_max], cfg.n_ini, 0)
+    # No start or refinement holds more than n_max rows, nor more than the recording.
+    window = _GrowingWindow(min(cfg.n_max, n_rows), d)
     # last is the row of the latest change point; -n_ini leaves every split admissible.
-    start, size, last, fresh = 0, cfg.n_ini, -cfg.n_ini, False
+    start, size, last, fresh = 0, cfg.n_ini, -cfg.n_ini, True
     while start + size <= n_rows:
         if fresh:
             rows = features.vectors[start : start + cfg.n_max]
@@ -307,8 +263,8 @@ def detect_growing(features: FeatureMatrix, cfg: BicConfig | None = None) -> lis
         b, score = window.best_split(size, cfg.lam, cfg.reg_epsilon)
         fresh = score > 0 or size == cfg.n_max
         if score > 0:
-            row, refined = _refine_split(
-                features.vectors, start + b, cfg.n_ini, cfg.lam, cfg.reg_epsilon, window
+            row, refined = window.refine(
+                features.vectors, start + b, cfg.n_ini, cfg.lam, cfg.reg_epsilon
             )
             if refined <= 0 or row - last < cfg.n_ini:
                 row, refined = start + b, score
@@ -330,14 +286,13 @@ class _GrowingWindow:
     its slot, its right side the window's slot less its own, and its left log-determinant
     is factored once, when a window first admits the split.
 
-    Its arrays are allocated once, for len(rows) rows, and restart begins a new start on
-    as many rows or fewer in them: detect_growing keeps one for its whole sweep, and
-    _refine_split scores its window in the sweep's. Sides are factored _SPLIT_CHUNK at a
-    time in batch arrays of their own.
+    Its arrays are allocated once, for windows of up to n rows of d features, and restart
+    begins a new start in them: detect_growing keeps one for its whole sweep, and refine
+    scores the window around a change in the sweep's. Sides are factored _SPLIT_CHUNK at
+    a time in batch arrays of their own.
     """
 
-    def __init__(self, rows: np.ndarray, size: int, min_b: int):
-        n, d = rows.shape
+    def __init__(self, n: int, d: int):
         self.sums = np.empty((n + 1, d))
         self.outer = np.empty((n + 1, d, d))
         self.left = np.empty(n + 1)
@@ -347,7 +302,6 @@ class _GrowingWindow:
             np.empty((_SPLIT_CHUNK, d, d)),
             np.empty((_SPLIT_CHUNK, d, d)),
         )
-        self.restart(rows, size, min_b)
 
     def restart(self, rows: np.ndarray, size: int, min_b: int):
         """Begin the windows rows[:size] that grow from a new start."""
@@ -384,6 +338,23 @@ class _GrowingWindow:
         scores = _scores(size, d, b, whole, self.left[lo : hi + 1], right, lam)
         best = int(np.argmax(scores))
         return lo + best, float(scores[best])
+
+    def refine(self, vectors: np.ndarray, row: int, span: int, lam: float, reg_epsilon: float):
+        """(split, score) of the first maximum of delta_bic over the admissible splits of a
+        span-row window of vectors centered on a detected change, scored in this window's
+        arrays: a sweep that refines must restart it before it scores its next window.
+
+        The coarse sweep can misplace a boundary by tens of rows when the
+        transition sits at a window edge; the centered second pass pins it
+        down. Near either end of the recording the window is clamped to it.
+        The window must hold span >= 2(d + 1) rows, so it can be split.
+        """
+        lo = max(0, row - span // 2)
+        hi = min(len(vectors), lo + span)
+        lo = max(0, hi - span)
+        self.restart(vectors[lo:hi], hi - lo, 0)
+        b, score = self.best_split(hi - lo, lam, reg_epsilon)
+        return lo + b, score
 
     def _side_log_dets(self, splits: np.ndarray, size: int | None, reg_epsilon: float):
         """_ml_log_dets of the left sides of these splits, or given size of their right sides

@@ -16,11 +16,10 @@ import dataclasses
 import json
 import sys
 import time
-from pathlib import Path
 
 from .audio_io import load_wav
 from .errors import FormatError, PreconditionError
-from .evaluation import _change_point_lines, evaluate, read_change_points
+from .evaluation import _change_point_lines, _text_lines, evaluate, read_change_points
 from .features import mfcc, write_features_tsv
 from .pitch import pitch_track, write_track_tsv
 from .pitch_seg import SEG_METHODS, RunConfig, build_method
@@ -90,15 +89,11 @@ def _coerce(default, raw: str, key: str):
 
 def parse_config_file(path) -> dict:
     """Flat key = value lines; # starts a comment, blank lines ignored."""
-    try:
-        text = Path(path).read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text") from exc
     values: dict = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in _text_lines(path):
         line = line.split("#", 1)[0].strip()
         if not line:
-            continue
+            continue  # a comment line
         if "=" not in line:
             raise FormatError(f"{path}:{lineno}: expected key = value")
         key, raw = (part.strip() for part in line.split("=", 1))

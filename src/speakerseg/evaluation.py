@@ -138,17 +138,24 @@ def evaluate(
     )
 
 
-def read_change_points(path) -> ChangePointSet:
-    """One decimal timestamp (seconds) per line; blank lines ignored."""
+def _text_lines(path) -> list[tuple[int, str]]:
+    """(number, stripped text) of each non-blank line of a UTF-8 text file, numbered from 1.
+
+    A leading byte-order mark is skipped; a file that is not UTF-8 raises FormatError.
+    The change-point and config file readers share this.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text") from exc
+    lines = enumerate(text.splitlines(), start=1)
+    return [(lineno, stripped) for lineno, line in lines if (stripped := line.strip())]
+
+
+def read_change_points(path) -> ChangePointSet:
+    """One decimal timestamp (seconds) per line; blank lines ignored."""
     times = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
+    for lineno, line in _text_lines(path):
         try:
             times.append(float(line))
         except ValueError as exc:

@@ -111,26 +111,30 @@ def pitch_diff(track: PitchTrack) -> np.ndarray:
 def candidates(
     diff,
     times,
-    threshold_coef: float,
+    fraction: float,
     min_gap_s: float,
 ) -> list[float]:
     """Candidate change times from the pitch difference sequence.
 
-    The threshold is threshold_coef times the sequence maximum; strictly
+    The threshold is fraction times the sequence maximum: `segment`
+    passes threshold_coef ** (1 / gamma), the gamma correction folded
+    into the threshold, not the config leaf threshold_coef. Strictly
     super-threshold runs collapse to their maximum entry (earlier index
     on ties), each reported at the midpoint of the two frames that formed
     the difference. Candidates closer than min_gap_s are thinned keeping
     the higher-valued one (earlier on ties).
     """
-    if not 0.0 < threshold_coef <= 1.0:
-        raise ValueError("threshold_coef must lie in (0, 1]")
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(
+            "fraction (segment passes threshold_coef ** (1 / gamma)) must lie in (0, 1]"
+        )
     diff = np.asarray(diff, dtype=np.float64)
     times = np.asarray(times, dtype=np.float64)
     if len(diff) != len(times) - 1:
         raise ValueError("need one difference per consecutive frame pair")
     if diff.size == 0:
         return []
-    above = diff > threshold_coef * diff.max()
+    above = diff > fraction * diff.max()
     # Each run of super-threshold entries starts at a rising edge of
     # above and stops at a falling one. The diff of bools is their XOR, one
     # byte a frame where int64 edges took eight.

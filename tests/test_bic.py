@@ -13,7 +13,6 @@ from speakerseg.bic import (
     ChangePoint,
     GaussianStats,
     _GrowingWindow,
-    _refine_split,
     _split_scores,
     delta_bic,
     detect_fixed,
@@ -106,10 +105,11 @@ def reference_detect_growing(features, cfg):
     start, size, last = 0, cfg.n_ini, -cfg.n_ini
     while start + size <= len(features):
         window = features.vectors[start : start + size]
-        grown = _GrowingWindow(window, size, last + cfg.n_ini - start)
+        grown = _GrowingWindow(size, features.dim)
+        grown.restart(window, size, last + cfg.n_ini - start)
         b, score = grown.best_split(size, cfg.lam, cfg.reg_epsilon)
         if score > 0:
-            row, refined = _refine_split(
+            row, refined = _GrowingWindow(cfg.n_ini, features.dim).refine(
                 features.vectors, start + b, cfg.n_ini, cfg.lam, cfg.reg_epsilon
             )
             fallback = None
@@ -358,7 +358,8 @@ class TestDetectGrowing:
         # positive, which the 600-row window still detects.
         features = level_features([0.0] * 300 + [0.4] * 300)
         cfg = BicConfig(n_ini=20, n_g=20, n_max=600, n_s=20)
-        assert _refine_split(features.vectors, 300, cfg.n_ini, cfg.lam, cfg.reg_epsilon)[1] <= 0
+        refine = _GrowingWindow(cfg.n_ini, features.dim).refine
+        assert refine(features.vectors, 300, cfg.n_ini, cfg.lam, cfg.reg_epsilon)[1] <= 0
         points = detect_growing(features, cfg)
         assert [p.time_s for p in points] == [features.times[300]]
         assert points[0].score > 0
@@ -369,7 +370,8 @@ class TestDetectGrowing:
         # 115, closer than n_ini to 100, so the coarse row 120 is kept.
         features = level_features([0.0] * 100 + [6.0] * 15 + [-6.0] * 285)
         cfg = BicConfig(n_ini=20, n_g=10, n_max=100, n_s=10)
-        assert _refine_split(features.vectors, 120, cfg.n_ini, cfg.lam, cfg.reg_epsilon)[0] == 115
+        refine = _GrowingWindow(cfg.n_ini, features.dim).refine
+        assert refine(features.vectors, 120, cfg.n_ini, cfg.lam, cfg.reg_epsilon)[0] == 115
         points = detect_growing(features, cfg)
         assert [p.time_s for p in points] == list(features.times[[100, 120]])
 
@@ -697,7 +699,9 @@ class TestBatchedKernel:
         rng = np.random.default_rng(seed)
         rows = rng.normal(0.0, 1.0, (n, d))
         rows[n // 3 :] += rng.uniform(-2.0, 2.0, d)
-        b, score = _GrowingWindow(rows, n, min_b).best_split(n, 1.0, 1e-6)
+        grown = _GrowingWindow(n, d)
+        grown.restart(rows, n, min_b)
+        b, score = grown.best_split(n, 1.0, 1e-6)
         splits = range(max(d + 1, min_b), n - d)
         if not splits:
             assert (b, score) == (None, -math.inf)
@@ -732,7 +736,7 @@ class TestBatchedKernel:
             row = int(rng.integers(0, n))
             lo = min(max(0, row - span // 2), n - span)
             clamped.add(("start" if lo == 0 else "") + ("end" if lo == n - span else ""))
-            b, score = _refine_split(rows, row, span, 1.0, 1e-6)
+            b, score = _GrowingWindow(span, d).refine(rows, row, span, 1.0, 1e-6)
             splits = range(d + 1, span - d)
             assert_first_max_of_delta_bic(rows[lo : lo + span], splits, b - lo, score)
         assert {"start", "end", ""} <= clamped

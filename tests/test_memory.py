@@ -17,7 +17,7 @@ import pytest
 
 from speakerseg import cli
 from speakerseg.audio_io import AudioBuffer, load_wav, write_wav
-from speakerseg.bic import detect_fixed, detect_growing
+from speakerseg.bic import BicConfig, detect_fixed, detect_growing
 from speakerseg.features import FeatureMatrix, mfcc
 from speakerseg.pitch import pitch_track
 from speakerseg.pitch_seg import segment
@@ -179,3 +179,13 @@ def test_growing_sweep_working_memory_bounded():
 def test_growing_sweep_working_memory():
     features = speaker_features(60.0)
     assert working_bytes(detect_growing, features, change_point_bytes) < WORKING_LIMIT_BYTES
+
+
+def test_growing_sweep_working_memory_on_a_short_recording():
+    """A recording shorter than n_max rows sizes the sweep's sums by its own rows.
+    Measured on x86-64 with numpy 2.4 on 300 rows: 1.01 MB, against 1.44 MB when the
+    sums held n_max + 1 = 601 slots whatever the length. The bound leaves a margin of
+    0.19 MB, 19%."""
+    features = speaker_features(3.0)
+    assert len(features) == 300 < BicConfig().n_max
+    assert working_bytes(detect_growing, features, change_point_bytes) < 1_200_000

@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import re
 import shlex
 from pathlib import Path
@@ -31,3 +33,32 @@ def test_quick_start_commands_run(tmp_path, monkeypatch, capsys):
         for flag, name in zip(argv, argv[1:]):
             if flag in ("--out", "--ref-out", "--json"):
                 assert (tmp_path / name).stat().st_size > 0, name
+
+
+def test_private_names_in_the_docs_resolve():
+    """Every backticked private name (`_x`, `module._x`, `Class._x`) in README and in
+    the text of src/ is an attribute of the package, so no doc names deleted code."""
+    modules = {
+        info.name: importlib.import_module(f"speakerseg.{info.name}")
+        for info in pkgutil.iter_modules(speakerseg.__path__)
+    }
+
+    def resolves(name):
+        first, *rest = name.split(".")
+        if first in modules:
+            owners = [modules[first]]
+        else:
+            owners = [getattr(m, first) for m in modules.values() if hasattr(m, first)]
+        for attr in rest:
+            owners = [getattr(owner, attr) for owner in owners if hasattr(owner, attr)]
+        return bool(owners)
+
+    texts = [README, *sorted((README.parent / "src").rglob("*.py"))]
+    names = {
+        (path.name, name)
+        for path in texts
+        for name in re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)`", path.read_text("utf-8"))
+        if any(part.startswith("_") for part in name.split("."))
+    }
+    assert len(names) >= 5
+    assert not {(path, name) for path, name in names if not resolves(name)}
