@@ -25,8 +25,6 @@ from .evaluation import (
     EvalReport,
     evaluate,
     f_measure,
-    fd_rate,
-    fr_rate,
     match_points,
     read_change_points,
     write_change_points,
@@ -74,9 +72,7 @@ __all__ = [
     "detect_growing",
     "evaluate",
     "f_measure",
-    "fd_rate",
     "fit_gaussian",
-    "fr_rate",
     "load_wav",
     "match_points",
     "mfcc",

@@ -220,6 +220,12 @@ def load_wav(path) -> AudioBuffer:
     return AudioBuffer(frames, int(sample_rate), divisor=n_channels * PCM_SCALE)
 
 
+def _check_wav_rate(sample_rate_hz) -> None:
+    """ValueError unless a mono PCM16 header can hold the rate (see write_wav)."""
+    if not isinstance(sample_rate_hz, (int, np.integer)) or not 0 < sample_rate_hz < 2**31:
+        raise ValueError("sample_rate_hz must be a positive integer below 2**31")
+
+
 def write_wav(path, samples, sample_rate_hz: int) -> None:
     """Write float amplitudes as mono 16-bit PCM, clipping into range.
 
@@ -228,8 +234,7 @@ def write_wav(path, samples, sample_rate_hz: int) -> None:
     samples that are not one-dimensional or not finite.
     """
     samples = np.asarray(samples, dtype=np.float64)
-    if not isinstance(sample_rate_hz, (int, np.integer)) or not 0 < sample_rate_hz < 2**31:
-        raise ValueError("sample_rate_hz must be a positive integer below 2**31")
+    _check_wav_rate(sample_rate_hz)
     if samples.ndim != 1:
         raise ValueError("samples must be one-dimensional")
     if not np.isfinite(samples).all():

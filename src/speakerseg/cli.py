@@ -20,8 +20,8 @@ import time
 from .audio_io import load_wav
 from .errors import FormatError, PreconditionError
 from .evaluation import _change_point_lines, _text_lines, evaluate, read_change_points
-from .features import mfcc, write_features_tsv
-from .pitch import pitch_track, write_track_tsv
+from .features import mfcc
+from .pitch import pitch_track
 from .pitch_seg import SEG_METHODS, RunConfig, build_method
 from .synth import SynthSpec, synth_to_files
 
@@ -127,19 +127,26 @@ def _output(path):
             yield fp
 
 
+def _write_tsv(path, times, columns, rows, value_format: str) -> None:
+    """A time_s column, then the named ones: times to 3 decimals, values in value_format."""
+    with _output(path) as fp:
+        fp.write("\t".join(["time_s", *columns]) + "\n")
+        for t, row in zip(times, rows):
+            fp.write(f"{t:.3f}\t" + "\t".join(format(v, value_format) for v in row) + "\n")
+
+
 def cmd_pitch(args, cfg: RunConfig) -> int:
     buffer = load_wav(args.audio)
     track = pitch_track(buffer, cfg.seg.pitch)
-    with _output(args.out) as fp:
-        write_track_tsv(track, fp)
+    _write_tsv(args.out, track.times, ["pitch_hz"], track.pitch_hz[:, None], ".3f")
     return EXIT_OK
 
 
 def cmd_features(args, cfg: RunConfig) -> int:
     buffer = load_wav(args.audio)
     features = mfcc(buffer, cfg.seg.mfcc)
-    with _output(args.out) as fp:
-        write_features_tsv(features, fp)
+    columns = [f"c{i}" for i in range(features.dim)]
+    _write_tsv(args.out, features.times, columns, features.vectors, ".6f")
     return EXIT_OK
 
 
@@ -165,23 +172,16 @@ def cmd_segment(args, cfg: RunConfig) -> int:
 def cmd_evaluate(args, cfg: RunConfig) -> int:
     reference = read_change_points(args.reference)
     hypothesis = read_change_points(args.hypothesis)
-    report = evaluate(reference, hypothesis, cfg.tolerance_s)
+    report = dataclasses.asdict(evaluate(reference, hypothesis, cfg.tolerance_s))
     if args.json:
         with _output(args.json) as fp:
-            fp.write(json.dumps(report.to_dict(), indent=2) + "\n")
-    else:
-        rows = [
-            ("fd", f"{report.fd:.4f}"),
-            ("fr", f"{report.fr:.4f}"),
-            ("f", f"{report.f:.4f}"),
-            ("n_hyp", str(report.n_hyp)),
-            ("n_ref", str(report.n_ref)),
-            ("n_matched", str(report.n_matched)),
-            ("tolerance_s", f"{report.tolerance_s:.3f}"),
-        ]
-        width = max(len(k) for k, _ in rows)
-        for key, value in rows:
-            print(f"{key:<{width}}  {value}")
+            fp.write(json.dumps(report, indent=2) + "\n")
+        return EXIT_OK
+    # Seconds to the millisecond, rates to 4 decimals, counts whole.
+    width = max(map(len, report))
+    for key, value in report.items():
+        spec = ".3f" if key.endswith("_s") else ".4f" if isinstance(value, float) else ""
+        print(f"{key:<{width}}  {value:{spec}}")
     return EXIT_OK
 
 

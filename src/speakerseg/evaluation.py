@@ -14,7 +14,7 @@ fd = fr = 1 limit.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -56,9 +56,6 @@ class EvalReport:
     n_matched: int
     tolerance_s: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def match_points(
     reference: ChangePointSet, hypothesis: ChangePointSet, tolerance_s: float
@@ -90,24 +87,6 @@ def match_points(
     return pairs
 
 
-def fd_rate(n_hyp: int, n_matched: int) -> float:
-    """False detections over total detections; 0.0 with no detections."""
-    if n_hyp < 0 or n_matched < 0 or n_matched > n_hyp:
-        raise ValueError("need 0 <= n_matched <= n_hyp")
-    if n_hyp == 0:
-        return 0.0
-    return (n_hyp - n_matched) / n_hyp
-
-
-def fr_rate(n_ref: int, n_matched: int) -> float:
-    """Missed reference points over total reference points; 0.0 with none."""
-    if n_ref < 0 or n_matched < 0 or n_matched > n_ref:
-        raise ValueError("need 0 <= n_matched <= n_ref")
-    if n_ref == 0:
-        return 0.0
-    return (n_ref - n_matched) / n_ref
-
-
 def f_measure(fd: float, fr: float) -> float:
     """Combined accuracy score; 1.0 only at fd = fr = 0."""
     if not (0.0 <= fd <= 1.0 and 0.0 <= fr <= 1.0):
@@ -123,19 +102,11 @@ def evaluate(
     hypothesis: ChangePointSet,
     tolerance_s: float = DEFAULT_TOLERANCE_S,
 ) -> EvalReport:
-    pairs = match_points(reference, hypothesis, tolerance_s)
-    n_matched = len(pairs)
-    fd = fd_rate(len(hypothesis), n_matched)
-    fr = fr_rate(len(reference), n_matched)
-    return EvalReport(
-        fd=fd,
-        fr=fr,
-        f=f_measure(fd, fr),
-        n_hyp=len(hypothesis),
-        n_ref=len(reference),
-        n_matched=n_matched,
-        tolerance_s=tolerance_s,
-    )
+    n_hyp, n_ref = len(hypothesis), len(reference)
+    n_matched = len(match_points(reference, hypothesis, tolerance_s))
+    # The unmatched share of the detections (fd) and of the reference points (fr).
+    fd, fr = ((n - n_matched) / n if n else 0.0 for n in (n_hyp, n_ref))
+    return EvalReport(fd, fr, f_measure(fd, fr), n_hyp, n_ref, n_matched, tolerance_s)
 
 
 def _text_lines(path) -> list[tuple[int, str]]:

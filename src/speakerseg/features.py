@@ -223,11 +223,3 @@ def mfcc(
         vectors[start : start + k] = coeffs[:, first : first + cfg.n_coeffs]
     del windowed, magnitude, span  # freed before FeatureMatrix checks the rows
     return FeatureMatrix(vectors=vectors, times=times)
-
-
-def write_features_tsv(features: FeatureMatrix, fp) -> None:
-    """time_s column followed by the d coefficient columns."""
-    d = features.dim
-    fp.write("time_s\t" + "\t".join(f"c{i}" for i in range(d)) + "\n")
-    for t, row in zip(features.times, features.vectors):
-        fp.write(f"{t:.3f}\t" + "\t".join(f"{v:.6f}" for v in row) + "\n")

@@ -339,10 +339,3 @@ def pitch_track(buffer: AudioBuffer, cfg: PitchConfig | None = None) -> PitchTra
             seg, n, hop, m, buffer.sample_rate_hz, cfg, store[span:]
         )
     return PitchTrack(times=times, pitch_hz=pitch)
-
-
-def write_track_tsv(track: PitchTrack, fp) -> None:
-    """Two-column TSV (time_s, pitch_hz) for plotting."""
-    fp.write("time_s\tpitch_hz\n")
-    for t, p in zip(track.times, track.pitch_hz):
-        fp.write(f"{t:.3f}\t{p:.3f}\n")

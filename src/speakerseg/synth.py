@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import AudioBuffer, write_wav
+from .audio_io import AudioBuffer, _check_wav_rate, write_wav
 from .errors import PreconditionError
 from .evaluation import ChangePointSet, write_change_points
 
@@ -45,8 +45,7 @@ class SynthSpec:
             raise ValueError("durations must be positive and finite")
         if not 0 <= self.noise_level < math.inf:
             raise ValueError("noise_level must be >= 0 and finite")
-        if not isinstance(self.sample_rate_hz, (int, np.integer)) or self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be a positive integer")
+        _check_wav_rate(self.sample_rate_hz)  # so that write_wav can store it
         if self.f0_hz is not None and len(self.f0_hz) == 0:
             raise ValueError("f0_hz must be empty only when omitted")
         # A fundamental at or above the band edge renders no harmonic, and one at or

@@ -14,6 +14,7 @@ import pytest
 
 from speakerseg import cli
 from speakerseg.audio_io import load_wav, write_wav
+from speakerseg.pitch import pitch_track
 from speakerseg.cli import (
     EXIT_FORMAT,
     EXIT_IO,
@@ -203,6 +204,8 @@ class TestExitCodes:
             ("--f0=0,220", EXIT_FORMAT, "f0_hz must lie above 0"),
             ("--f0=4000,220", EXIT_FORMAT, "below 0.45 * sample_rate_hz"),
             ("--seconds 0.00005", EXIT_PRECONDITION, "shorter than one sample"),
+            # Checked before synthesis: a WAV header holds 2 * rate in 32 bits.
+            ("--rate 2147483648 --seconds 0.000000002", EXIT_FORMAT, "below 2**31"),
             ("directory", EXIT_IO, "not a file"),
             ("out under a file", EXIT_IO, "Not a directory"),
             ("fmt chunk of 8 bytes", EXIT_FORMAT, "fmt chunk too short"),
@@ -287,6 +290,7 @@ class TestPitchCommand:
         lines = out.splitlines()
         assert lines[0] == "time_s\tpitch_hz"
         assert len(lines) > 900
+        assert len(lines) == len(pitch_track(load_wav(wav))) + 1
 
     def test_out_file(self, synth_files, tmp_path):
         wav, _ = synth_files
@@ -311,6 +315,16 @@ class TestFeaturesCommand:
 
 
 class TestSegmentCommand:
+    @pytest.mark.parametrize("method", ["pitch", "bic-grow", "bic-fixed"])
+    @pytest.mark.parametrize("level", [0.0, 0.3], ids=["silence", "offset"])
+    def test_constant_signal_has_no_change(self, level, method, tmp_path):
+        """10 s of one constant sample: every pitch frame is unvoiced, and every BIC
+        window's covariance is singular, so reg_epsilon alone keeps it factorable."""
+        wav, out = tmp_path / "flat.wav", tmp_path / "cp.txt"
+        write_wav(wav, np.full(80000, level), 8000)
+        assert main(["segment", str(wav), "--method", method, "--out", str(out)]) == EXIT_OK
+        assert out.read_text() == ""
+
     def test_pitch_method_finds_boundary(self, synth_files, tmp_path):
         wav, _ = synth_files
         out = tmp_path / "cp.txt"

@@ -8,8 +8,6 @@ from speakerseg.evaluation import (
     ChangePointSet,
     evaluate,
     f_measure,
-    fd_rate,
-    fr_rate,
     match_points,
     read_change_points,
     write_change_points,
@@ -104,22 +102,6 @@ class TestMatchPoints:
             evaluate(ref, ref, tol)
 
 
-class TestRates:
-    def test_fd(self):
-        assert fd_rate(2, 1) == 0.5
-        assert fd_rate(0, 0) == 0.0
-
-    def test_fr(self):
-        assert fr_rate(2, 2) == 0.0
-        assert fr_rate(0, 0) == 0.0
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            fd_rate(1, 2)
-        with pytest.raises(ValueError):
-            fr_rate(1, 2)
-
-
 class TestFMeasure:
     def test_perfect(self):
         assert f_measure(0.0, 0.0) == 1.0
@@ -166,6 +148,12 @@ class TestEvaluate:
         assert report.fd == 0.0
         assert report.fr == 1.0
         assert report.f == 0.0
+
+    def test_empty_reference(self):
+        report = evaluate(points(), points(1.0, 2.0), 0.5)
+        assert (report.fd, report.fr, report.f) == (1.0, 0.0, 0.0)
+        report = evaluate(points(), points(), 0.5)
+        assert (report.fd, report.fr, report.f) == (0.0, 0.0, 1.0)
 
     def test_swap_exchanges_fd_fr(self):
         a = points(1.0, 4.0, 9.0)

@@ -11,7 +11,6 @@ from speakerseg.features import (
     hz_to_mel,
     mel_filterbank,
     mfcc,
-    write_features_tsv,
 )
 
 from conftest import buffer_from, sine
@@ -198,15 +197,6 @@ class TestFeatureMatrix:
         # verify_change picks its window's rows by bisecting the times
         with pytest.raises(ValueError):
             FeatureMatrix(np.zeros((3, 2)), np.array([0.0, 0.02, 0.01]))
-
-    def test_tsv_export(self, tmp_path):
-        out = mfcc(buffer_from(np.zeros(1000)), MfccConfig())
-        path = tmp_path / "f.tsv"
-        with open(path, "w") as fp:
-            write_features_tsv(out, fp)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("time_s\tc0")
-        assert len(lines) == len(out) + 1
 
     def test_hop_seconds(self):
         out = mfcc(buffer_from(np.zeros(1000)), MfccConfig())

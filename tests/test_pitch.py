@@ -22,7 +22,6 @@ from speakerseg.pitch import (
     next_pow2,
     pitch_frame,
     pitch_track,
-    write_track_tsv,
 )
 from speakerseg.pitch_seg import SEG_METHODS, RunConfig, build_method
 from speakerseg.synth import SynthSpec, synth_speakers
@@ -422,16 +421,6 @@ class TestPitchTrack:
         voiced = track.pitch_hz[track.pitch_hz > 0]
         assert len(voiced) > 0
         assert np.all((voiced >= cfg.min_hz) & (voiced <= cfg.max_hz))
-
-    def test_tsv_export(self, tmp_path):
-        buf = buffer_from(sine(150, 8000, 4000))
-        track = pitch_track(buf, PitchConfig())
-        out = tmp_path / "track.tsv"
-        with open(out, "w") as fp:
-            write_track_tsv(track, fp)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "time_s\tpitch_hz"
-        assert len(lines) == len(track) + 1
 
 
 def write_pcm16_wav(path, channels, fs):

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import pkgutil
 import re
@@ -62,3 +63,27 @@ def test_private_names_in_the_docs_resolve():
     }
     assert len(names) >= 5
     assert not {(path, name) for path, name in names if not resolves(name)}
+
+
+def test_every_export_has_a_caller_in_src():
+    """Each name in speakerseg.__all__ is loaded somewhere in src/ outside its own
+    definition and __init__.py, so no public API's only caller is its own test."""
+    exempt = {
+        # Acceptance criterion 2a tests the one-frame estimator on its own.
+        "pitch_frame",
+        # The benchmark's tracer wraps it (segbench/tracer.py); ROADMAP item 2 drops it.
+        "fit_gaussian",
+    }
+    loaded = set()
+    for path in (README.parent / "src" / "speakerseg").glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for statement in ast.parse(path.read_text("utf-8")).body:
+            owner = getattr(statement, "name", None)
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    loaded.add((node.id, owner))
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    loaded.add((node.attr, owner))
+    callers = {name for name, owner in loaded if name != owner}
+    assert set(speakerseg.__all__) - callers == exempt
