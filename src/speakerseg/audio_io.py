@@ -260,9 +260,20 @@ def _frame_grid(
     seconds. Only the selected times are built. Tail samples that do not
     fill a full window are discarded.
     """
+    frames = _frame_range(n_samples, window_len, hop, rows)
+    return frames, _frame_times(frames, hop, sample_rate_hz)
+
+
+def _frame_range(n_samples: int, window_len: int, hop: int, rows: slice = slice(None)) -> range:
+    """The frame indices of _frame_grid, without their times."""
     count = 0 if n_samples < window_len else (n_samples - window_len) // hop + 1
-    selected = rows.indices(count)
-    return range(*selected), np.arange(*selected) * (hop / sample_rate_hz)
+    return range(*rows.indices(count))
+
+
+def _frame_times(frames: range, hop: int, sample_rate_hz: int) -> np.ndarray:
+    """Start times in seconds of frames, frame k at k * (hop / sample_rate_hz): a frame's
+    time has the same bits whichever range of frames it is built with."""
+    return np.arange(frames.start, frames.stop, frames.step) * (hop / sample_rate_hz)
 
 
 def _frame_signal(samples: np.ndarray, window_len: int, hop: int) -> np.ndarray:

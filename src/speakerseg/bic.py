@@ -26,7 +26,7 @@ The kernel has two paths. `_split_scores` scores one split of each
 window of a stack, centred at its window's mean, with one product per
 side, and factors the left side, the whole window and the right side of
 every window in one call: `delta_bic` (and through it `verify_change`)
-splits a stack of one, `fixed_window_scores` blocks of windows at their
+splits a stack of one, the fixed sweep blocks of windows at their
 centre. `_GrowingWindow` scores every admissible split of a window from
 running sums that add its rows one by one, and factors the whole window
 with the right sides in one call, the whole being the right side of the
@@ -57,13 +57,26 @@ Two sweep strategies emit multiple change points: a growing window that
 restarts at each accepted change, and a fixed-size window slid at a
 constant rate whose center-split score curve is peak-picked.
 
+The fixed sweep streams. It takes a FeatureMatrix or an iterable of
+FeatureMatrix blocks of consecutive rows, as `mfcc_blocks` yields them,
+and scores its windows _FIXED_BLOCK at a time as their rows arrive. It
+holds only the rows from the next unscored window's start on: at most
+(_FIXED_BLOCK - 1) * n_s + window rows, plus the last block. A
+FeatureMatrix is one block, scored through views of its rows, and any
+blocking gives every score and time the same bits. The growing sweep
+takes the whole FeatureMatrix: its refinement reads up to n_ini / 2 rows
+before the window's start, and every restart reads rows again, so
+streaming it would need a look-back buffer.
+
 `_thin_peaks`, the greedy peak thinning of `detect_fixed`, also thins
 the candidates of the pitch pipeline, which imports it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,8 +87,9 @@ from .features import FeatureMatrix
 
 DEFAULT_REG_EPSILON = 1e-6
 
-# Windows per block of fixed_window_scores: under 1 MB of working memory
-# for one-second windows at a 5 ms hop. Larger blocks are no faster.
+# Windows per block of the fixed sweep: under 1 MB of working memory for
+# one-second windows at a 5 ms hop. Larger blocks are no faster. The
+# streamed sweep holds the rows of one such block.
 _FIXED_BLOCK = 32
 
 # Sides per batch of _GrowingWindow, factored through arrays allocated once per sweep.
@@ -378,49 +392,32 @@ class _GrowingWindow:
         return log_dets
 
 
-def _resolve_fixed_window(features: FeatureMatrix, cfg: BicConfig) -> int:
-    return max(2, int(round(cfg.fixed_window_s / features.hop_s)))
-
-
-def fixed_window_scores(features: FeatureMatrix, cfg: BicConfig | None = None):
+def fixed_window_scores(
+    features: FeatureMatrix | Iterable[FeatureMatrix], cfg: BicConfig | None = None
+):
     """Center-split score curve of the sliding fixed window.
 
+    features is a FeatureMatrix, or an iterable of FeatureMatrix blocks
+    that hold a recording's rows in order, such as `mfcc_blocks` yields.
     Returns (times, scores) where each time is the center row's start
-    time. Windows are scored _FIXED_BLOCK at a time, so working memory
-    does not grow with the length of the recording.
+    time.
     """
-    cfg = cfg or BicConfig()
-    n_rows = len(features)
-    if n_rows < 2 or n_rows < (window := _resolve_fixed_window(features, cfg)):
-        return np.empty(0), np.empty(0)
-    half = window // 2
-    d = features.dim
-    starts = np.arange(0, n_rows - window + 1, cfg.n_s)
-    times = features.times[starts + half]
-    if half < d + 1 or window - half < d + 1:
-        return times, np.full(len(starts), -math.inf)
-    # (windows, window, d) view of the rows; nothing is copied here.
-    windows = sliding_window_view(features.vectors, window, axis=0)[:: cfg.n_s]
-    windows = np.swapaxes(windows, 1, 2)
-    scores = np.empty(len(starts))
-    for lo in range(0, len(starts), _FIXED_BLOCK):
-        block = windows[lo : lo + _FIXED_BLOCK]
-        scores[lo : lo + len(block)] = _split_scores(block, half, cfg.lam, cfg.reg_epsilon)
+    times, scores, _ = _fixed_sweep(features, cfg or BicConfig())
     return times, scores
 
 
-def detect_fixed(features: FeatureMatrix, cfg: BicConfig | None = None) -> list[ChangePoint]:
+def detect_fixed(
+    features: FeatureMatrix | Iterable[FeatureMatrix], cfg: BicConfig | None = None
+) -> list[ChangePoint]:
     """Fixed-window sweep: positive local maxima of the center-split curve.
 
-    Non-maximum suppression keeps only the strongest peak within one
-    window span; ties break toward the earlier time.
+    features is a FeatureMatrix or an iterable of blocks, as for
+    fixed_window_scores. Non-maximum suppression keeps only the strongest
+    peak within one window span; ties break toward the earlier time.
     """
-    cfg = cfg or BicConfig()
-    times, scores = fixed_window_scores(features, cfg)
+    times, scores, span_s = _fixed_sweep(features, cfg or BicConfig())
     if len(scores) == 0:
         return []
-    span_s = _resolve_fixed_window(features, cfg) * features.hop_s
-
     # Positive scores at least as high as both neighbours.
     peak = scores > 0
     peak[1:] &= scores[1:] >= scores[:-1]
@@ -428,6 +425,70 @@ def detect_fixed(features: FeatureMatrix, cfg: BicConfig | None = None) -> list[
     return [
         ChangePoint(time_s=t, score=s) for t, s in _thin_peaks(times[peak], scores[peak], span_s)
     ]
+
+
+def _fixed_sweep(features: FeatureMatrix | Iterable[FeatureMatrix], cfg: BicConfig):
+    """(times, scores, window span in seconds) of the fixed windows, one every n_s rows.
+
+    Windows are scored _FIXED_BLOCK at a time as their rows arrive. Only the rows from the
+    next unscored window's start on are held, joined into one array when they cover the
+    next _FIXED_BLOCK windows or the blocks end, so the working memory is set by the
+    window, n_s and the size of a block, not by the length of the recording. A
+    FeatureMatrix is one block, scored through views of its rows.
+    """
+    blocks = [features] if isinstance(features, FeatureMatrix) else features
+    held: list[tuple[np.ndarray, np.ndarray]] = []  # (rows, times) from row `base` on
+    count = base = scored = 0  # rows held, and windows scored
+    last_time = -math.inf
+    window = need = None  # rows per window, and per _FIXED_BLOCK windows
+    hop_s = 0.0
+    curve_times, curve_scores = [], []
+    for block in itertools.chain(blocks, [None]):
+        end = block is None
+        if not end and len(block):
+            if not block.times[0] > last_time:
+                raise ValueError("times must be strictly increasing")
+            last_time = block.times[-1]
+            held.append((block.vectors, block.times))
+            count += len(block)
+        if window is None and count >= 2:
+            first_two = np.concatenate([t[:2] for _, t in held[:2]])
+            hop_s = float(first_two[1] - first_two[0])
+            window = max(2, int(round(cfg.fixed_window_s / hop_s)))
+            need = (_FIXED_BLOCK - 1) * cfg.n_s + window
+        first = scored * cfg.n_s - base  # the next window's first row, in the held rows
+        if window is None or (first + need > count and not end):
+            continue
+        if len(held) > 1:
+            held = [(np.concatenate([r for r, _ in held]), np.concatenate([t for _, t in held]))]
+        rows, times = held[0]
+        fit = (count - first - window) // cfg.n_s + 1 if count >= first + window else 0
+        fit = fit if end else fit - fit % _FIXED_BLOCK
+        for lo in range(0, fit, _FIXED_BLOCK):
+            k = min(_FIXED_BLOCK, fit - lo)
+            start = first + lo * cfg.n_s
+            stop = start + (k - 1) * cfg.n_s + window
+            curve_scores.append(_fixed_block_scores(rows[start:stop], window, cfg))
+            # A copy: a view would keep the joined rows' times alive.
+            curve_times.append(times[start + window // 2 :: cfg.n_s][:k].copy())
+        scored += fit
+        drop = min(scored * cfg.n_s - base, count)
+        held = [(rows[drop:], times[drop:])]
+        base, count = base + drop, count - drop
+    if not curve_scores:
+        return np.empty(0), np.empty(0), 0.0
+    return np.concatenate(curve_times), np.concatenate(curve_scores), window * hop_s
+
+
+def _fixed_block_scores(rows: np.ndarray, window: int, cfg: BicConfig) -> np.ndarray:
+    """Center-split scores of the windows of rows that start every n_s rows."""
+    half = window // 2
+    d = rows.shape[1]
+    if half < d + 1 or window - half < d + 1:
+        return np.full((len(rows) - window) // cfg.n_s + 1, -math.inf)
+    # (windows, window, d) view of the rows; nothing is copied here.
+    windows = np.swapaxes(sliding_window_view(rows, window, axis=0)[:: cfg.n_s], 1, 2)
+    return _split_scores(windows, half, cfg.lam, cfg.reg_epsilon)
 
 
 def _thin_peaks(times: np.ndarray, values: np.ndarray, min_gap_s: float) -> list[tuple]:

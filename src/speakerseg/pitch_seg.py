@@ -41,7 +41,7 @@ from .audio_io import AudioBuffer
 from .bic import BicConfig, _thin_peaks, detect_fixed, detect_growing, verify_change
 from .errors import FormatError, PreconditionError
 from .evaluation import DEFAULT_TOLERANCE_S, ChangePointSet
-from .features import MfccConfig, mfcc
+from .features import MfccConfig, mfcc, mfcc_blocks
 from .pitch import PitchConfig, PitchTrack, pitch_track
 
 
@@ -205,11 +205,16 @@ def build_method(name: str, cfg: RunConfig):
     if name == "pitch":
         return lambda buffer: segment(buffer, cfg.seg)
     if name in ("bic-grow", "bic-fixed"):
-        detect = detect_growing if name == "bic-grow" else detect_fixed
+        # The growing sweep reads back rows before its window, so it takes the whole
+        # feature matrix; the fixed sweep takes the MFCC blocks as they are computed.
+        grow = name == "bic-grow"
 
         def run(buffer: AudioBuffer) -> SegmentationResult:
             start = time.perf_counter()
-            points = detect(mfcc(buffer, cfg.seg.mfcc), cfg.seg.bic)
+            if grow:
+                points = detect_growing(mfcc(buffer, cfg.seg.mfcc), cfg.seg.bic)
+            else:
+                points = detect_fixed(mfcc_blocks(buffer, cfg.seg.mfcc), cfg.seg.bic)
             return _result([p.time_s for p in points], buffer, len(points), start)
 
         return run

@@ -23,7 +23,7 @@ from speakerseg.bic import (
     verify_change,
 )
 from speakerseg.errors import PreconditionError
-from speakerseg.features import FeatureMatrix, mfcc
+from speakerseg.features import FeatureMatrix, mfcc, mfcc_blocks
 from speakerseg.synth import SynthSpec, synth_to_files
 
 
@@ -450,6 +450,62 @@ class TestDetectFixed:
         times, scores = fixed_window_scores(features, BicConfig())
         assert len(times) == len(scores) > 0
         assert np.all(np.diff(times) > 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 4),
+        window=st.integers(2, 40),
+        n_s=st.integers(1, 60),
+        n=st.integers(0, 500),
+        sizes=st.lists(st.integers(0, 90), min_size=1, max_size=6).filter(any),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocks_score_as_the_matrix(self, d, window, n_s, n, sizes, seed):
+        """Rows fed in blocks of any sizes, empty ones included, give every time, score
+        and change point the bits of the same rows in one FeatureMatrix."""
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(0.0, 1.0, (n, d))
+        rows[n // 3 :] += rng.uniform(-3.0, 3.0, d)
+        features = FeatureMatrix(rows, np.arange(n) * 0.01)
+        cfg = BicConfig(n_s=n_s, fixed_window_s=window * 0.01)
+        want_times, want_scores = fixed_window_scores(features, cfg)
+        got_times, got_scores = fixed_window_scores(in_blocks(features, sizes), cfg)
+        assert got_times.tobytes() == want_times.tobytes()
+        assert got_scores.tobytes() == want_scores.tobytes()
+        assert detect_fixed(in_blocks(features, sizes), cfg) == detect_fixed(features, cfg)
+
+    def test_mfcc_blocks_give_the_golden_points(self, tmp_path):
+        """The CLI's bic-fixed run streams mfcc_blocks: TestGoldenScores's points."""
+        wav = tmp_path / "golden.wav"
+        spec = SynthSpec(n_speakers=6, duration_s=10.0, noise_level=0.02, seed=42)
+        synth_to_files(spec, wav, tmp_path / "golden.txt")
+        buffer = load_wav(wav)
+        streamed = detect_fixed(mfcc_blocks(buffer), BicConfig())
+        assert len(streamed) == 5
+        assert streamed == detect_fixed(mfcc(buffer), BicConfig())
+        result = pitch_seg.build_method("bic-fixed", pitch_seg.RunConfig())(buffer)
+        assert result.change_points.times.tolist() == [p.time_s for p in streamed]
+
+    def test_blocks_out_of_order_rejected(self):
+        features = two_cluster_features(n_per_side=200)
+        late, early = FeatureMatrix(features.vectors[200:], features.times[200:]), features
+        with pytest.raises(ValueError, match="increasing"):
+            fixed_window_scores([late, early], BicConfig())
+
+    def test_no_blocks_no_scores(self):
+        times, scores = fixed_window_scores(iter([]), BicConfig())
+        assert len(times) == len(scores) == 0
+        assert detect_fixed(iter([]), BicConfig()) == []
+
+
+def in_blocks(features, sizes):
+    """The rows of features as consecutive FeatureMatrix blocks, sized by cycling through
+    sizes, one of which must be positive."""
+    start, i = 0, 0
+    while start < len(features):
+        stop = start + sizes[i % len(sizes)]
+        yield FeatureMatrix(features.vectors[start:stop], features.times[start:stop])
+        start, i = stop, i + 1
 
 
 class TestVerifyChange:

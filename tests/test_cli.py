@@ -325,6 +325,38 @@ class TestSegmentCommand:
         assert main(["segment", str(wav), "--method", method, "--out", str(out)]) == EXIT_OK
         assert out.read_text() == ""
 
+    @pytest.mark.parametrize("method", ["pitch", "bic-grow", "bic-fixed"])
+    @pytest.mark.parametrize(
+        "wave",
+        [
+            "periodic",
+            pytest.param(
+                "sign-of-sine",
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="a one-sample shift of some zero crossings puts change points in "
+                    "a square wave (CHANGES.md)",
+                ),
+            ),
+        ],
+    )
+    def test_square_wave_has_no_change(self, wave, method, tmp_path):
+        """10 s of a full-scale 100 Hz square wave at 8 kHz. Exactly periodic (40 samples
+        at +1, 40 at -1) it gets no change point. Built as sign(sin(2 pi 100 t)), the
+        sample at 46% of its zero crossings has the other sign, as the sine's rounding
+        falls, and pitch puts 1 point in it, bic-grow 4 and bic-fixed 2. Each of the
+        three puts one at 6.5 s, where 200 pi t passes 4096 and the rounding step of
+        the sine's argument doubles."""
+        t = np.arange(80000) / 8000
+        samples = {
+            "periodic": np.tile(np.r_[np.ones(40), -np.ones(40)], 1000),
+            "sign-of-sine": np.sign(np.sin(2 * np.pi * 100 * t)),
+        }[wave]
+        wav, out = tmp_path / "square.wav", tmp_path / "cp.txt"
+        write_wav(wav, samples, 8000)
+        assert main(["segment", str(wav), "--method", method, "--out", str(out)]) == EXIT_OK
+        assert out.read_text() == ""
+
     def test_pitch_method_finds_boundary(self, synth_files, tmp_path):
         wav, _ = synth_files
         out = tmp_path / "cp.txt"

@@ -11,6 +11,7 @@ from speakerseg.features import (
     hz_to_mel,
     mel_filterbank,
     mfcc,
+    mfcc_blocks,
 )
 
 from conftest import buffer_from, sine
@@ -111,6 +112,36 @@ class TestValues:
                     assert part.vectors.shape == whole.vectors[span].shape
                     assert part.vectors.tobytes() == whole.vectors[span].tobytes(), where
                     assert part.times.tobytes() == whole.times[span].tobytes(), where
+
+    def test_blocks_are_the_rows_of_mfcc(self, monkeypatch):
+        for block in BLOCK_SIZES:
+            monkeypatch.setattr(features, "_BLOCK_ROWS", block)
+            buf = buffer_from(three_block_samples())
+            for span in (slice(None), slice(block - 12, 2 * block + 5), slice(7, 8)):
+                whole = mfcc(buf, MfccConfig(), span)
+                parts = list(mfcc_blocks(buf, MfccConfig(), span))
+                assert [len(p) for p in parts[:-1]] == [block] * (len(parts) - 1)
+                vectors = np.concatenate([p.vectors for p in parts])
+                times = np.concatenate([p.times for p in parts])
+                assert vectors.tobytes() == whole.vectors.tobytes(), (block, span)
+                assert times.tobytes() == whole.times.tobytes(), (block, span)
+
+    def test_no_product_starts_blas_threads(self, monkeypatch):
+        """OpenBLAS runs a product of under 65,536 x 4 multiply-adds on the calling
+        thread. Each of mfcc's products is a stack of products of _MIN_PRODUCT_ROWS rows:
+        64 x 129 x 26 = 214,656 at nfft 256, where one 256-row block was 858,624."""
+        shapes = []
+        matmul = np.matmul
+
+        def spy(a, b, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        out = mfcc(buffer_from(three_block_samples()), MfccConfig())
+        assert len(out) == 3 * features._BLOCK_ROWS
+        assert len(shapes) == 2 * 3  # the mel and the DCT product of each block
+        assert max(shape[-2] for shape in shapes) == features._MIN_PRODUCT_ROWS
 
     def test_no_nan_for_noise(self):
         rng = np.random.default_rng(2)

@@ -1,8 +1,9 @@
-"""Working memory of the front ends, of the pitch pipeline and of both
-BIC sweeps does not grow with recording length, that of mfcc and of the
-growing sweep stays under a fixed bound, loading a WAV reads only its
-headers, and a whole `segment --method pitch` run holds no copy of its
-recording.
+"""Working memory of the front ends, of the pitch pipeline, of both BIC
+sweeps and of the bic-fixed segmenter does not grow with recording
+length, that of mfcc and of the growing sweep stays under a fixed bound,
+loading a WAV reads only its headers, a whole `segment --method pitch`
+run holds no copy of its recording, and a `segment --method bic-fixed`
+run no feature matrix.
 
 Working memory is the tracemalloc peak of one call less the bytes of the
 result it returns, whose size is proportional to the length by design.
@@ -20,18 +21,21 @@ from speakerseg.audio_io import AudioBuffer, load_wav, write_wav
 from speakerseg.bic import BicConfig, detect_fixed, detect_growing
 from speakerseg.features import FeatureMatrix, mfcc
 from speakerseg.pitch import pitch_track
-from speakerseg.pitch_seg import segment
+from speakerseg.pitch_seg import RunConfig, build_method, segment
 
 from conftest import harmonic_tone
 
 FS = 8000
 GROWTH_LIMIT_BYTES = 2_000_000
 # Working memory of one mfcc or detect_growing call, whose buffers are allocated once
-# per call and sized by a block. Measured on x86-64 with numpy 2.4: mfcc 1.63 MB on 30 s
-# of 8 kHz PCM16 (2.99 MB when each block allocated its own), detect_growing 1.46 MB at
-# the default sizes (2.49 MB when each start and refinement did). The bound leaves a
-# margin of 0.37 MB, 23%, over the larger.
+# per call and sized by a block. Measured on x86-64 with numpy 2.4: mfcc 1.41 MB on 30 s
+# of 8 kHz PCM16 (1.61 MB with its magnitude spectra in an array of their own, 2.99 MB
+# when each block allocated its own buffers), detect_growing 1.46 MB at the default
+# sizes (2.49 MB when each start and refinement did). The bound leaves a margin of
+# 0.54 MB, 37%, over the larger. mfcc's own bound leaves 0.19 MB, 14%, and fails with
+# the separate magnitude array.
 WORKING_LIMIT_BYTES = 2_000_000
+MFCC_LIMIT_BYTES = 1_600_000
 
 
 def working_bytes(fn, buffer, result_bytes):
@@ -52,12 +56,12 @@ def feature_bytes(features):
     return features.times.nbytes + features.vectors.nbytes
 
 
-def noise_buffer(seconds, pcm16):
+def noise_buffer(seconds, pcm16, rate=FS):
     """Uniform noise in [-0.5, 0.5): float64, or PCM16 integers as load_wav keeps them."""
     rng = np.random.default_rng(0)
     if pcm16:
-        return AudioBuffer(rng.integers(-16384, 16384, seconds * FS, dtype="<i2"), FS, 32768.0)
-    return AudioBuffer(rng.uniform(-0.5, 0.5, seconds * FS), FS)
+        return AudioBuffer(rng.integers(-16384, 16384, seconds * rate, dtype="<i2"), rate, 32768.0)
+    return AudioBuffer(rng.uniform(-0.5, 0.5, seconds * rate), rate)
 
 
 @pytest.mark.parametrize(
@@ -77,7 +81,7 @@ def test_working_memory_bounded(fn, result_bytes, pcm16):
 
 
 def test_mfcc_working_memory():
-    assert working_bytes(mfcc, noise_buffer(30, True), feature_bytes) < WORKING_LIMIT_BYTES
+    assert working_bytes(mfcc, noise_buffer(30, True), feature_bytes) < MFCC_LIMIT_BYTES
 
 
 def test_load_wav_reads_only_the_headers(tmp_path):
@@ -110,6 +114,39 @@ def test_pitch_cli_run_holds_no_copy_of_the_recording(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2_500_000
+
+
+def test_fixed_method_working_memory_bounded():
+    """The bic-fixed segmenter takes the MFCC rows a block at a time and holds only the
+    rows of its next windows, so no array grows with the recording but its score curve,
+    16 bytes per n_s rows."""
+    run = build_method("bic-fixed", RunConfig())
+
+    def result_bytes(result):  # a few hundred bytes, whatever the length
+        return 0
+
+    short = working_bytes(run, noise_buffer(60, True, 16000), result_bytes)
+    long = working_bytes(run, noise_buffer(600, True, 16000), result_bytes)
+    assert long - short < GROWTH_LIMIT_BYTES
+
+
+def test_fixed_cli_run_holds_no_feature_matrix(tmp_path):
+    """A 600 s, 16 kHz mono file is 19.2 MB and its 120,000 MFCC rows 13.4 MB with their
+    times; the run's peak is its working memory. Measured at 1.91 MB on x86-64 with
+    numpy 2.4, against 15.06 MB while detect_fixed took the whole feature matrix."""
+    wav = tmp_path / "long.wav"
+    rate = 16000
+    turn = np.concatenate([harmonic_tone(130, rate, 5 * rate), harmonic_tone(200, rate, 5 * rate)])
+    write_wav(wav, np.tile(turn, 60), rate)
+    argv = ["segment", str(wav), "--method", "bic-fixed", "--out", str(tmp_path / "cp.txt")]
+    assert cli.main(argv) == cli.EXIT_OK  # warm: the first run builds cached tables
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == cli.EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_400_000
 
 
 def test_feature_matrix_checks_allocate_no_row_array():
