@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: pitch, features, segment, evaluate, bench, synth. Tunables
+Subcommands: pitch, features, segment, evaluate, synth. Tunables
 resolve as defaults, then the --config file (flat "key = value" lines,
 # comments), then explicit flags (--method, --tolerance, --seed, each only
 where it is read); --dry-run prints the resolved configuration as JSON
@@ -15,7 +15,6 @@ import contextlib
 import dataclasses
 import json
 import sys
-import time
 
 from .audio_io import load_wav
 from .errors import FormatError, PreconditionError
@@ -185,43 +184,6 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args, cfg: RunConfig) -> int:
-    names = [m.strip() for m in args.methods.split(",") if m.strip()]
-    if not names or not set(names) <= set(SEG_METHODS) or len(set(names)) < len(names):
-        print(f"error: --methods takes unique names of {', '.join(SEG_METHODS)}", file=sys.stderr)
-        return EXIT_USAGE
-    buffer = load_wav(args.audio)
-    reference = read_change_points(args.reference)
-    # Methods run one after another so their wall times compare; a failing
-    # method is an empty row, not a failed run.
-    rows, notes, walls = [], [], {}
-    for name in names:
-        start = time.perf_counter()
-        try:
-            result = build_method(name, cfg)(buffer)
-        except Exception as exc:  # noqa: BLE001
-            rows.append([name, "", "", "", f"{time.perf_counter() - start:.3f}"])
-            notes.append(f"{name}: failed: {exc}")
-            continue
-        wall = walls[name] = time.perf_counter() - start
-        report = evaluate(reference, result.change_points, cfg.tolerance_s)
-        rows.append([name, *(f"{v:.4f}" for v in (report.fd, report.fr, report.f)), f"{wall:.3f}"])
-        notes.append(f"{name}: f={report.f:.4f} wall={wall:.3f}s")
-    header = "method,fd,fr,f,wall_time_s"
-    # The paper's speed claim: growing-window BIC time over pitch time.
-    if "bic-grow" in walls and walls.get("pitch", 0.0) > 0:
-        speedup = walls["bic-grow"] / walls["pitch"]
-        header += ",speedup"
-        for row in rows:
-            row.append(f"{speedup:.2f}" if row[0] == "pitch" else "")
-        notes.append(f"speedup={speedup:.2f}")
-    with _output(args.out) as fp:
-        fp.write("\n".join([header, *(",".join(row) for row in rows)]) + "\n")
-    for note in notes:
-        print(note, file=sys.stderr)
-    return EXIT_OK
-
-
 def _parse_float_list(raw: str, flag: str) -> tuple[float, ...]:
     try:
         return tuple(float(part) for part in raw.split(",") if part.strip())
@@ -290,14 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", help="write the report as JSON ('-' for stdout)")
     p.add_argument("--tolerance", type=float, help="match tolerance in seconds")
     p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("bench", parents=[common], help="compare methods on one recording")
-    p.add_argument("audio")
-    p.add_argument("reference")
-    p.add_argument("--methods", default="pitch,bic-grow", help="comma-separated method names")
-    p.add_argument("--out", help="CSV path (default stdout)")
-    p.add_argument("--tolerance", type=float, help="match tolerance in seconds")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("synth", parents=[common], help="generate a synthetic multi-speaker WAV")
     p.add_argument("--out", required=True, help="WAV output path")

@@ -24,6 +24,21 @@ values in the rest of it. The blocks run one after another on the
 calling thread, so working memory is a few block-sized buffers and does
 not grow with the length of the recording; only the output does.
 
+Between a block's samples and its pair values that array keeps a gap of
+n samples, at least the span lags[-1] - lags[0] of the lags. Every lag
+then pairs the same head of the block with a window that starts tau in
+and may run into the gap, and writes the same head of the pair buffer.
+So `_lag_sums` sets up once per block, not once per lag: that head, one
+sliding window view whose row tau is the shifted window, one strided
+view of every (2, hop) chunk weight, and, for each whole-chunk count
+(at most n // hop + 1 of them), the chunk view, the head of the sums
+buffer that np.matmul writes, and the views of its float64 copy that
+each frame adds. Pair values formed from the gap meet zero weights
+only. The gap must be finite, because a zero weight does not cancel a
+NaN or an infinity; it holds zeros, or samples of an earlier block,
+which AudioBuffer's check keeps finite. A lone frame, or a direct call
+with no gap after its samples, gets a padded copy.
+
 Exactness. A buffer that load_wav returns reads 16-bit PCM integers, and
 the span of each block is converted from them on its own, exactly for a
 mono or stereo file: every sample of a converted block is then a
@@ -91,9 +106,10 @@ CEPSTRAL_Z_SPAN = 5.0
 # Samples per block of the pitch track: 160 KB of float32 or 320 KB of
 # float64 for each of a block's samples and its pair values, which keeps
 # them in cache. The block size sets speed and working memory, never the
-# output. On 180 s at 8 kHz (one CPU, quartiles of 11 alternating calls)
-# the AMDF track took 115-135 ms, against 145-174 ms with half the size
-# and 185-228 ms with twice it.
+# output. On 180 s at 8 kHz (one CPU, medians of 15 alternating calls)
+# the AMDF track took 80 ms at this size, with a 1.50 MB `segment` peak;
+# 84 ms at 32,768 samples (1.27 MB), 91 ms at 24,576 (1.05 MB), 101 ms
+# at 20,480 (0.94 MB), and 150 ms at 49,152 (1.73 MB).
 _BLOCK_SAMPLES = 40960
 
 
@@ -157,36 +173,52 @@ def lag_bounds(sample_rate_hz: int, cfg: PitchConfig) -> tuple[int, int]:
 def _lag_sums(seg: np.ndarray, n: int, hop: int, m: int, lags, pair, work=None) -> np.ndarray:
     """(m, len(lags)) sums of pair(x[i], x[i + tau]) over i < n - tau per frame.
 
-    seg holds m frames of n samples, hop apart, and every tau < n. Each
-    lag's pair values are formed once over seg, at seg's dtype, into one
-    reused buffer and summed in hop-sized chunks by one product of (2, hop)
-    weights with the chunks: row 0 sums whole chunks, row 1 only the first
-    (n - tau) % hop values of each. Frame k's sum, added in float64, is its
-    c = (n - tau) // hop whole chunks k .. k + c - 1 plus the partial sum
-    of chunk k + c. A lone frame (pitch_frame) is one hop of n samples.
+    seg holds m frames of n samples, hop apart, then the gap of finite
+    samples (see the module docstring); lags rise, each below n. Each
+    lag's pair values are formed at seg's dtype and summed in hop-sized
+    chunks by one product of (2, hop) weights with the chunks: row 0 sums
+    whole chunks, row 1 only the first (n - tau) % hop values of each.
+    Frame k's sum, added in float64, is its c = (n - tau) // hop whole
+    chunks k .. k + c - 1 plus the partial sum of chunk k + c.
 
     work is the pair buffer: at least (m + n // hop) * hop values of seg's
-    dtype, zero or finite (a new zeroed one when None). The tail of the
-    last partial chunk meets zero weights, and a zero weight does not
-    cancel a NaN left there.
+    dtype, zero or finite (a new zeroed one when None).
     """
-    n_chunks = m + n // hop  # covers seg, and the partial chunk of the last frame
+    size = (m - 1) * hop + n
+    reach = size - lags[0]
+    if len(seg) < reach + lags[-1]:  # no gap: pad a copy
+        seg = np.concatenate([seg[:size], np.zeros(reach + lags[-1] - size, seg.dtype)])
+    n_chunks = m + n // hop  # covers the frames, and the partial chunk of the last one
     if work is None:
         work = np.zeros(n_chunks * hop, seg.dtype)
     chunks = work[: n_chunks * hop].reshape(n_chunks, hop)
-    # Each lag's weights are a free (2, hop) view of 2 hop ones then hop
-    # zeros: starting hop - part in, row 1 holds part ones.
+    head, shifted, pairs = seg[:reach], sliding_window_view(seg, reach), work[:reach]
+    # Weights for part p: 2 hop ones then hop zeros, read from hop - p in;
+    # row 1 holds p ones. One strided (hop, 2, hop) view holds them all.
     ramp = np.zeros(3 * hop, seg.dtype)
     ramp[: 2 * hop] = 1
+    weights = sliding_window_view(ramp, 2 * hop)[hop:0:-1].reshape(hop, 2, hop)
+    # Per whole-chunk count c: the chunk view, the (2, m + c) heads of one
+    # sums buffer and of its float64 copy, and the copy's views that frames
+    # add, whole chunks first. Widening once makes every add float64 only.
+    wide_buffer = np.empty((2, n_chunks))
+    widen = seg.dtype != np.float64
+    sums_buffer = np.empty((2, n_chunks), seg.dtype) if widen else wide_buffer
+    plans = {}
     out = np.zeros((len(lags), m))
-    for j, tau in enumerate(lags):
-        pair(seg[: len(seg) - tau], seg[tau:], out=work[: len(seg) - tau])
+    for row, tau in zip(out, lags.tolist()):
         whole, part = divmod(n - tau, hop)
-        sums = ramp[hop - part : 3 * hop - part].reshape(2, hop) @ chunks[: m + whole].T
-        row = out[j]
-        for q in range(whole):
-            row += sums[0, q : q + m]
-        row += sums[1, whole:]
+        if whole not in plans:
+            sums, wide = sums_buffer[:, : m + whole], wide_buffer[:, : m + whole]
+            adds = [wide[0, q : q + m] for q in range(whole)] + [wide[1, whole:]]
+            plans[whole] = chunks[: m + whole].T, sums, wide, adds
+        view, sums, wide, adds = plans[whole]
+        pair(head, shifted[tau], out=pairs)
+        np.matmul(weights[part], view, out=sums)
+        if widen:
+            wide[...] = sums
+        for add in adds:
+            row += add
     return out.T
 
 
@@ -198,11 +230,12 @@ def _amdf_rows(
     sum(|a - b|) = 2 sum(max(a, b)) - sum(a) - sum(b). With r the running
     sum of seg, frame k's sum(a) + sum(b) is r[k*hop + n - tau] - r[k*hop]
     + r[k*hop + n] - r[k*hop + tau], applied in place to the lag-major rows.
-    r is float64 whatever seg's dtype; work is the pair buffer of _lag_sums.
+    r is float64 whatever seg's dtype; seg and work are as _lag_sums takes them.
     """
     rows = _lag_sums(seg, n, hop, m, lags, np.maximum, work).T  # lag-major, C-contiguous
-    run = np.zeros(len(seg) + 1)
-    run[1:] = seg  # then summed in place: cumsum would convert seg into a temporary
+    size = (m - 1) * hop + n
+    run = np.zeros(size + 1)
+    run[1:] = seg[:size]  # then summed in place: cumsum would convert seg into a temporary
     np.add.accumulate(run, out=run)
     win = sliding_window_view(run, len(lags))
     rows *= 2.0
@@ -243,17 +276,18 @@ def _select_amdf(padded: np.ndarray, threshold: float):
     (inf where the lag has no overlapping samples). A lag qualifies when
     it is a local minimum against both neighbors and at most
     AMDF_DIP_FRACTION of the range maximum; the first qualifying lag
-    wins, otherwise the global minimum of the range.
+    wins, otherwise the global minimum of the range, which is looked up
+    only when some row has no qualifying lag.
     """
     norm = padded[:, 1:-1]
     is_dip = (norm <= padded[:, :-2]) & (norm <= padded[:, 2:])
     max_in_range = np.max(norm, axis=1)
     deep = norm <= AMDF_DIP_FRACTION * max_in_range[:, None]
     qualifying = is_dip & deep
-    fallback = _first_at(norm, np.min(norm, axis=1))
-    first = np.argmax(qualifying, axis=1)
-    has_dip = qualifying.any(axis=1)
-    idx = np.where(has_dip, first, fallback)
+    idx = np.argmax(qualifying, axis=1)
+    has_dip = np.take_along_axis(qualifying, idx[:, None], axis=1)[:, 0]
+    if not has_dip.all():
+        idx = np.where(has_dip, idx, _first_at(norm, np.min(norm, axis=1)))
     chosen = np.take_along_axis(norm, idx[:, None], axis=1)[:, 0]
     mean = np.mean(norm, axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -278,11 +312,11 @@ def _select_cepstral(values: np.ndarray, threshold: float):
 def _pitch_block(
     seg: np.ndarray, n: int, hop: int, m: int, sample_rate_hz: int, cfg: PitchConfig, work=None
 ) -> np.ndarray:
-    """Pitch of the m frames of n samples, hop apart, that seg holds.
+    """Pitch of the m frames of n samples, hop apart, that seg starts with.
 
     Each frame must hold the longest search lag. Both are known in
     samples only here, where the rate is, so PitchConfig does not check it.
-    work is the pair buffer of _lag_sums, or None.
+    seg and work are as _lag_sums takes them; work may be None.
     """
     lo, hi = lag_bounds(sample_rate_hz, cfg)
     if n <= hi:
@@ -297,7 +331,7 @@ def _pitch_block(
             padded = np.pad(padded, ((0, 0), (0, 1)), constant_values=np.inf)
         idx, voiced = _select_amdf(padded, cfg.voicing_threshold)
     else:
-        ceps = _cepstrum_rows(_frame_signal(seg, n, hop), next_pow2(n))
+        ceps = _cepstrum_rows(_frame_signal(seg, n, hop)[:m], next_pow2(n))
         idx, voiced = _select_cepstral(ceps[:, lo : hi + 1], cfg.voicing_threshold)
     return np.where(voiced, sample_rate_hz / (lo + idx), 0.0)
 
@@ -322,20 +356,20 @@ def pitch_track(buffer: AudioBuffer, cfg: PitchConfig | None = None) -> PitchTra
         raise PreconditionError("audio shorter than one frame")
     pitch = np.empty(len(frames))
     block = max(1, _BLOCK_SAMPLES // hop)
-    # Every block converts its samples into the head of one zeroed array
-    # and forms its pair values in the rest: new arrays per block cost
+    # Every block converts its samples into the head of one zeroed array,
+    # which then holds n finite samples more than the largest block (the
+    # gap of _lag_sums), then the pair values: new arrays per block cost
     # 6,000-10,000 page faults and 10% of the time or more on 180 s at
     # 8 kHz. The AMDF's hop-sized chunk sums are exact in float32 where
     # the buffer's amplitude grid allows (AudioBuffer.sum_dtype).
     dtype = buffer.sum_dtype(hop) if cfg.method == AMDF else np.float64
     most = min(block, len(frames))
-    span = (most - 1) * hop + n
+    span = (most - 1) * hop + n + n
     pairs = 0 if cfg.method == CEPSTRAL else (most + n // hop) * hop
     store = np.zeros(span + pairs, dtype)
+    seg, work = store[:span], store[span:]
     for start in range(0, len(frames), block):
         m = min(block, len(frames) - start)
-        seg = buffer.span(start * hop, (start + m - 1) * hop + n, store)
-        pitch[start : start + m] = _pitch_block(
-            seg, n, hop, m, buffer.sample_rate_hz, cfg, store[span:]
-        )
+        buffer.span(start * hop, (start + m - 1) * hop + n, store)
+        pitch[start : start + m] = _pitch_block(seg, n, hop, m, buffer.sample_rate_hz, cfg, work)
     return PitchTrack(times=times, pitch_hz=pitch)

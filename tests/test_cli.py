@@ -161,10 +161,10 @@ class TestExitCodes:
         assert main(["segment", str(wav), "--config", str(cfg)]) == EXIT_FORMAT
 
     def test_malformed_ref_is_format_error(self, synth_files, tmp_path):
-        wav, _ = synth_files
+        _, ref = synth_files
         bad = tmp_path / "bad.txt"
         bad.write_text("2.0\n1.0\n")
-        assert main(["bench", str(wav), str(bad)]) == EXIT_FORMAT
+        assert main(["evaluate", str(bad), str(ref)]) == EXIT_FORMAT
 
 
     @pytest.mark.parametrize("source", ["flag", "config"])
@@ -180,12 +180,6 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "seed" in err and "Traceback" not in err
         assert not (tmp_path / "s.wav").exists()
-
-    @pytest.mark.parametrize("methods", ["foo", "pitch,foo", "", " , ", "pitch,pitch"])
-    def test_unknown_bench_method_is_usage_error(self, methods, synth_files, capsys):
-        wav, ref = synth_files
-        assert main(["bench", str(wav), str(ref), "--methods", methods]) == EXIT_USAGE
-        assert "--methods" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "case, code, message",
@@ -275,10 +269,9 @@ class TestExitCodes:
         assert "usage:" in capsys.readouterr().out
 
     def test_unknown_method_in_config_is_format_error(self, synth_files, tmp_path):
-        wav, ref = synth_files
+        wav, _ = synth_files
         cfg = tmp_path / "run.cfg"
         cfg.write_text("method = foo\n")
-        assert main(["bench", str(wav), str(ref), "--config", str(cfg)]) == EXIT_FORMAT
         assert main(["segment", str(wav), "--config", str(cfg)]) == EXIT_FORMAT
 
 
@@ -513,71 +506,6 @@ class TestEvaluateCommand:
             "n_matched    1\n"
             "tolerance_s  0.500\n"
         )
-
-
-class TestBenchCommand:
-    def test_golden_output(self, synth_files, tmp_path, capsys):
-        # Every byte except the timings: the wall_time_s and speedup cells
-        # and the wall=/speedup= values are masked as "T".
-        wav, ref = synth_files
-        out = tmp_path / "bench.csv"
-        methods = ["--methods", "pitch,bic-grow,bic-fixed", "--tolerance", "0.3"]
-        assert main(["bench", str(wav), str(ref), *methods, "--out", str(out)]) == EXIT_OK
-        csv = re.sub(rb"\d+\.\d{3},\d+\.\d{2}\n", b"T,T\n", out.read_bytes())
-        csv = re.sub(rb"\d+\.\d{3},\n", b"T,\n", csv)
-        assert csv == (
-            b"method,fd,fr,f,wall_time_s,speedup\n"
-            b"pitch,0.0000,0.0000,1.0000,T,T\n"
-            b"bic-grow,0.0000,0.0000,1.0000,T,\n"
-            b"bic-fixed,0.0000,0.0000,1.0000,T,\n"
-        )
-        err = re.sub(r"(wall=|speedup=)\d+\.\d+", r"\1T", capsys.readouterr().err)
-        assert err.splitlines() == [
-            "pitch: f=1.0000 wall=Ts",
-            "bic-grow: f=1.0000 wall=Ts",
-            "bic-fixed: f=1.0000 wall=Ts",
-            "speedup=T",
-        ]
-
-    def test_two_methods_with_speedup(self, synth_files, tmp_path):
-        wav, ref = synth_files
-        out = tmp_path / "bench.csv"
-        code = main(["bench", str(wav), str(ref), "--out", str(out), "--tolerance", "0.3"])
-        assert code == EXIT_OK
-        lines = out.read_text().splitlines()
-        assert lines[0] == "method,fd,fr,f,wall_time_s,speedup"
-        pitch_row = lines[1].split(",")
-        assert pitch_row[0] == "pitch"
-        assert float(pitch_row[-1]) > 0
-        assert len(lines) == 3
-
-    def test_single_method_no_speedup_column(self, synth_files, tmp_path):
-        wav, ref = synth_files
-        out = tmp_path / "bench.csv"
-        code = main(["bench", str(wav), str(ref), "--methods", "pitch", "--out", str(out)])
-        assert code == EXIT_OK
-        assert out.read_text().splitlines()[0] == "method,fd,fr,f,wall_time_s"
-
-    def test_failing_method_is_an_empty_row(self, synth_files, tmp_path, capsys):
-        # n_ini below 2(d + 1) = 28 rows makes detect_growing raise, so
-        # there is no speedup column, whether bic-grow runs first or last.
-        wav, ref = synth_files
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("n_ini = 20\n")
-        out = tmp_path / "bench.csv"
-        for order in ("pitch,bic-grow", "bic-grow,pitch"):
-            args = ["bench", str(wav), str(ref), "--config", str(cfg), "--out", str(out)]
-            assert main([*args, "--methods", order]) == EXIT_OK
-            header, *rows = out.read_text().splitlines()
-            assert header == "method,fd,fr,f,wall_time_s"
-            cells = dict(row.split(",", 1) for row in rows)
-            assert list(cells) == order.split(",")
-            assert re.fullmatch(r"0\.0000,0\.0000,1\.0000,\d+\.\d{3}", cells["pitch"])
-            assert re.fullmatch(r",,,\d+\.\d{3}", cells["bic-grow"])
-            err = capsys.readouterr().err
-            assert "bic-grow: failed: n_ini must hold" in err
-            assert "pitch: f=1.0000 wall=" in err
-            assert "speedup" not in err
 
 
 class TestSynthCommand:

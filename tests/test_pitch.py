@@ -210,6 +210,77 @@ class TestAmdf:
         assert np.all(amdf(rng.uniform(-1, 1, 80)) >= 0)
 
 
+class TestSelectAmdf:
+    """The first-pronounced-dip rule, with the global-minimum fallback for
+    rows that have no qualifying dip."""
+
+    @staticmethod
+    def oracle(padded, threshold):
+        """The rule written out, the fallback computed for every row."""
+        norm = padded[:, 1:-1]
+        is_dip = (norm <= padded[:, :-2]) & (norm <= padded[:, 2:])
+        qualifying = is_dip & (norm <= pitch.AMDF_DIP_FRACTION * norm.max(axis=1)[:, None])
+        first, has_dip = np.argmax(qualifying, axis=1), qualifying.any(axis=1)
+        idx = np.where(has_dip, first, pitch._first_at(norm, np.min(norm, axis=1)))
+        chosen, mean = norm[np.arange(len(norm)), idx], norm.mean(axis=1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            voiced = (mean > 0) & (1.0 - chosen / mean >= threshold)
+        return idx, voiced, has_dip
+
+    @staticmethod
+    def rows(width):
+        """Padded rows, each with one lag left and right of a width-lag range."""
+        lags = np.arange(width + 2, dtype=float)
+        dip = 1.0 + 0.01 * lags
+        dip[[5, 9]] = 0.2  # two deep dips: the first wins
+        shallow = np.full(width + 2, 1.0)
+        shallow[[4, 11]] = 0.8  # tied minima above half the maximum: the first of them
+        right_edge = np.linspace(1.0, 0.9, width + 2)
+        right_edge[-1] = np.inf  # the last lag's right neighbor overlaps no samples
+        return {
+            "deep dips": dip,
+            "flat": np.full(width + 2, 0.7),
+            "rising": 1.0 + lags,
+            "falling": 1.0 + lags[::-1],
+            "tied shallow minima": shallow,
+            "falling to an open right edge": right_edge,
+            "zero": np.zeros(width + 2),  # every lag is a dip at 0 <= 0.5 * 0
+            "dip at the first lag": np.r_[2.0, 0.1, np.linspace(1.0, 2.0, width)],
+        }
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.3, 0.9])
+    def test_mixed_rows_match_the_oracle(self, threshold):
+        rows = self.rows(20)
+        padded = np.array(list(rows.values()))
+        want_idx, want_voiced, has_dip = self.oracle(padded, threshold)
+        assert dict(zip(rows, has_dip)) == {
+            "deep dips": True, "flat": False, "rising": False, "falling": False,
+            "tied shallow minima": False, "falling to an open right edge": False,
+            "zero": True, "dip at the first lag": True,
+        }
+        assert dict(zip(rows, want_idx))["tied shallow minima"] == 3
+        rng = np.random.default_rng(4)
+        for order in [np.arange(len(padded)), *(rng.permutation(len(padded)) for _ in range(5))]:
+            for table in (padded[order], np.asfortranarray(padded[order])):  # as _amdf_rows gives it
+                idx, voiced = pitch._select_amdf(table, threshold)
+                assert np.array_equal(idx, want_idx[order])
+                assert np.array_equal(voiced, want_voiced[order])
+
+    @pytest.mark.parametrize("kind", ["all with a dip", "none with a dip"])
+    def test_uniform_tables_match_the_oracle(self, kind):
+        rng = np.random.default_rng(8)
+        if kind == "all with a dip":
+            padded = rng.uniform(1.0, 2.0, (50, 30))
+            padded[np.arange(50), rng.integers(1, 29, 50)] = 0.1
+        else:  # white noise: its AMDF has no dip below half the maximum
+            frames = rng.uniform(-0.5, 0.5, (50, 240))
+            padded = np.array([amdf(f)[19:136] / (240 - np.arange(19, 136)) for f in frames])
+        idx, voiced = pitch._select_amdf(padded, 0.3)
+        want_idx, want_voiced, has_dip = self.oracle(padded, 0.3)
+        assert has_dip.all() if kind == "all with a dip" else not has_dip.any()
+        assert np.array_equal(idx, want_idx) and np.array_equal(voiced, want_voiced)
+
+
 class TestCepstrum:
     def test_zero_frame_finite(self):
         values = cepstrum(np.zeros(240))

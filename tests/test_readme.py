@@ -26,7 +26,7 @@ def test_quick_start_commands_run(tmp_path, monkeypatch, capsys):
     block = re.search(r"```sh\n(.*?)```", section("Quick start"), re.S).group(1)
     lines = block.replace("\\\n", " ").splitlines()
     commands = [shlex.split(line) for line in lines if line.startswith("speakerseg ")]
-    assert [argv[1] for argv in commands] == ["synth", "segment", "evaluate", "bench"]
+    assert [argv[1] for argv in commands] == ["synth", "segment", "evaluate"]
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         assert main(argv[1:]) == EXIT_OK, argv
