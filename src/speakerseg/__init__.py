@@ -29,7 +29,7 @@ from .evaluation import (
     read_change_points,
     write_change_points,
 )
-from .features import FeatureMatrix, MfccConfig, mfcc, mfcc_blocks
+from .features import FeatureMatrix, MfccConfig, mfcc
 from .pitch import PitchConfig, PitchTrack, pitch_frame, pitch_track
 from .pitch_seg import (
     SEG_METHODS,
@@ -76,7 +76,6 @@ __all__ = [
     "load_wav",
     "match_points",
     "mfcc",
-    "mfcc_blocks",
     "penalty",
     "pitch_diff",
     "pitch_frame",

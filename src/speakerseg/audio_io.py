@@ -249,23 +249,13 @@ def write_wav(path, samples, sample_rate_hz: int) -> None:
     Path(path).write_bytes(header + payload)
 
 
-def _frame_grid(
-    n_samples: int, sample_rate_hz: int, window_len: int, hop: int,
-    rows: slice = slice(None),
-):
-    """The complete analysis frames of n_samples samples that rows selects.
-
-    Returns (frames, times): a range of frame indices, by default all n,
-    frame k covering [k*hop, k*hop + window_len), and their start times in
-    seconds. Only the selected times are built. Tail samples that do not
-    fill a full window are discarded.
-    """
-    frames = _frame_range(n_samples, window_len, hop, rows)
-    return frames, _frame_times(frames, hop, sample_rate_hz)
-
-
 def _frame_range(n_samples: int, window_len: int, hop: int, rows: slice = slice(None)) -> range:
-    """The frame indices of _frame_grid, without their times."""
+    """The indices of the complete analysis frames of n_samples samples that rows selects,
+    by default all of them, frame k covering [k*hop, k*hop + window_len). Tail samples that
+    do not fill a full window are discarded. rows must not step backwards.
+    """
+    if rows.step is not None and rows.step < 1:
+        raise ValueError(f"rows must have a positive step, not {rows.step}")
     count = 0 if n_samples < window_len else (n_samples - window_len) // hop + 1
     return range(*rows.indices(count))
 
@@ -279,7 +269,7 @@ def _frame_times(frames: range, hop: int, sample_rate_hz: int) -> np.ndarray:
 def _frame_signal(samples: np.ndarray, window_len: int, hop: int) -> np.ndarray:
     """Slice float64 amplitudes into all their complete analysis frames.
 
-    Returns a read-only view of the frames of _frame_grid. Input shorter
+    Returns a read-only view of the frames of _frame_range. Input shorter
     than one window yields zero frames. Integer PCM is refused: it is
     framed only after `AudioBuffer.span` has scaled it.
     """

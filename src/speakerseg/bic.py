@@ -26,7 +26,7 @@ The kernel has two paths. `_split_scores` scores one split of each
 window of a stack, centred at its window's mean, with one product per
 side, and factors the left side, the whole window and the right side of
 every window in one call: `delta_bic` (and through it `verify_change`)
-splits a stack of one, the fixed sweep blocks of windows at their
+splits a stack of one, the fixed sweep batches of windows at their
 centre. `_GrowingWindow` scores every admissible split of a window from
 running sums that add its rows one by one, and factors the whole window
 with the right sides in one call, the whole being the right side of the
@@ -57,16 +57,16 @@ Two sweep strategies emit multiple change points: a growing window that
 restarts at each accepted change, and a fixed-size window slid at a
 constant rate whose center-split score curve is peak-picked.
 
-The fixed sweep streams. It takes a FeatureMatrix or an iterable of
-FeatureMatrix blocks of consecutive rows, as `mfcc_blocks` yields them,
-and scores its windows _FIXED_BLOCK at a time as their rows arrive. It
-holds only the rows from the next unscored window's start on: at most
-(_FIXED_BLOCK - 1) * n_s + window rows, plus the last block. A
-FeatureMatrix is one block, scored through views of its rows, and any
-blocking gives every score and time the same bits. The growing sweep
-takes the whole FeatureMatrix: its refinement reads up to n_ini / 2 rows
-before the window's start, and every restart reads rows again, so
-streaming it would need a look-back buffer.
+The fixed sweep reads its rows by range. It takes a FeatureMatrix, read
+through views of its rows, or a function that returns the rows a slice
+selects, such as `partial(mfcc, buffer, cfg)`, and scores its windows
+_FIXED_BLOCK at a time, reading each batch's rows in one call. A batch
+holds at most (_FIXED_BLOCK - 1) * n_s + window rows and carries to the
+next only the window - n_s rows they share, so each row is read once.
+Every score and time has the bits of a sweep over the whole matrix. The
+growing sweep takes the whole FeatureMatrix: its refinement reads up to
+n_ini / 2 rows before the window's start, and every restart reads rows
+again.
 
 `_thin_peaks`, the greedy peak thinning of `detect_fixed`, also thins
 the candidates of the pitch pipeline, which imports it.
@@ -74,9 +74,8 @@ the candidates of the pitch pipeline, which imports it.
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections.abc import Iterable
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,9 +86,9 @@ from .features import FeatureMatrix
 
 DEFAULT_REG_EPSILON = 1e-6
 
-# Windows per block of the fixed sweep: under 1 MB of working memory for
-# one-second windows at a 5 ms hop. Larger blocks are no faster. The
-# streamed sweep holds the rows of one such block.
+# Windows per batch of the fixed sweep: under 1 MB of working memory for
+# one-second windows at a 5 ms hop. Larger batches are no faster. The
+# sweep reads and holds the rows of one batch at a time.
 _FIXED_BLOCK = 32
 
 # Sides per batch of _GrowingWindow, factored through arrays allocated once per sweep.
@@ -393,25 +392,25 @@ class _GrowingWindow:
 
 
 def fixed_window_scores(
-    features: FeatureMatrix | Iterable[FeatureMatrix], cfg: BicConfig | None = None
+    features: FeatureMatrix | Callable[[slice], FeatureMatrix], cfg: BicConfig | None = None
 ):
     """Center-split score curve of the sliding fixed window.
 
-    features is a FeatureMatrix, or an iterable of FeatureMatrix blocks
-    that hold a recording's rows in order, such as `mfcc_blocks` yields.
-    Returns (times, scores) where each time is the center row's start
-    time.
+    features is a FeatureMatrix, or a function that returns the rows of a
+    recording's feature matrix that a slice selects, as
+    `partial(mfcc, buffer, cfg)` does. Returns (times, scores) where each
+    time is the center row's start time.
     """
     times, scores, _ = _fixed_sweep(features, cfg or BicConfig())
     return times, scores
 
 
 def detect_fixed(
-    features: FeatureMatrix | Iterable[FeatureMatrix], cfg: BicConfig | None = None
+    features: FeatureMatrix | Callable[[slice], FeatureMatrix], cfg: BicConfig | None = None
 ) -> list[ChangePoint]:
     """Fixed-window sweep: positive local maxima of the center-split curve.
 
-    features is a FeatureMatrix or an iterable of blocks, as for
+    features is a FeatureMatrix or a function of a row slice, as for
     fixed_window_scores. Non-maximum suppression keeps only the strongest
     peak within one window span; ties break toward the earlier time.
     """
@@ -427,57 +426,45 @@ def detect_fixed(
     ]
 
 
-def _fixed_sweep(features: FeatureMatrix | Iterable[FeatureMatrix], cfg: BicConfig):
+def _fixed_sweep(features: FeatureMatrix | Callable[[slice], FeatureMatrix], cfg: BicConfig):
     """(times, scores, window span in seconds) of the fixed windows, one every n_s rows.
 
-    Windows are scored _FIXED_BLOCK at a time as their rows arrive. Only the rows from the
-    next unscored window's start on are held, joined into one array when they cover the
-    next _FIXED_BLOCK windows or the blocks end, so the working memory is set by the
-    window, n_s and the size of a block, not by the length of the recording. A
-    FeatureMatrix is one block, scored through views of its rows.
+    Windows are scored _FIXED_BLOCK at a time, and each batch's rows are read in one call
+    of a function of a row slice: features itself, or views of a FeatureMatrix's rows. A
+    batch carries to the next only the window - n_s rows the two share, so each row is
+    read once and the working memory is set by the window, n_s and _FIXED_BLOCK, not by
+    the length of the recording. The first read, of 2 rows, gives the hop and the head of
+    the first batch.
     """
-    blocks = [features] if isinstance(features, FeatureMatrix) else features
-    held: list[tuple[np.ndarray, np.ndarray]] = []  # (rows, times) from row `base` on
-    count = base = scored = 0  # rows held, and windows scored
-    last_time = -math.inf
-    window = need = None  # rows per window, and per _FIXED_BLOCK windows
-    hop_s = 0.0
+    read = features
+    if isinstance(features, FeatureMatrix):
+
+        def read(rows: slice) -> FeatureMatrix:
+            return FeatureMatrix(features.vectors[rows], features.times[rows])
+
+    head = read(slice(0, 2))
+    if len(head) < 2:
+        return np.empty(0), np.empty(0), 0.0
+    window = max(2, int(round(cfg.fixed_window_s / head.hop_s)))
+    need = (_FIXED_BLOCK - 1) * cfg.n_s + window  # rows per batch
+    step = _FIXED_BLOCK * cfg.n_s  # rows from one batch's first row to the next's
+    start, rows, times = 0, head.vectors, head.times  # the batch's first row, and its rows read
     curve_times, curve_scores = [], []
-    for block in itertools.chain(blocks, [None]):
-        end = block is None
-        if not end and len(block):
-            if not block.times[0] > last_time:
-                raise ValueError("times must be strictly increasing")
-            last_time = block.times[-1]
-            held.append((block.vectors, block.times))
-            count += len(block)
-        if window is None and count >= 2:
-            first_two = np.concatenate([t[:2] for _, t in held[:2]])
-            hop_s = float(first_two[1] - first_two[0])
-            window = max(2, int(round(cfg.fixed_window_s / hop_s)))
-            need = (_FIXED_BLOCK - 1) * cfg.n_s + window
-        first = scored * cfg.n_s - base  # the next window's first row, in the held rows
-        if window is None or (first + need > count and not end):
-            continue
-        if len(held) > 1:
-            held = [(np.concatenate([r for r, _ in held]), np.concatenate([t for _, t in held]))]
-        rows, times = held[0]
-        fit = (count - first - window) // cfg.n_s + 1 if count >= first + window else 0
-        fit = fit if end else fit - fit % _FIXED_BLOCK
-        for lo in range(0, fit, _FIXED_BLOCK):
-            k = min(_FIXED_BLOCK, fit - lo)
-            start = first + lo * cfg.n_s
-            stop = start + (k - 1) * cfg.n_s + window
-            curve_scores.append(_fixed_block_scores(rows[start:stop], window, cfg))
-            # A copy: a view would keep the joined rows' times alive.
-            curve_times.append(times[start + window // 2 :: cfg.n_s][:k].copy())
-        scored += fit
-        drop = min(scored * cfg.n_s - base, count)
-        held = [(rows[drop:], times[drop:])]
-        base, count = base + drop, count - drop
+    while True:
+        more = read(slice(start + len(rows), start + need))
+        rows, times = np.concatenate([rows, more.vectors]), np.concatenate([times, more.times])
+        if len(rows) >= window:
+            k = (len(rows) - window) // cfg.n_s + 1
+            curve_scores.append(_fixed_block_scores(rows, window, cfg))
+            # A copy: a view would keep the batch's times alive.
+            curve_times.append(times[window // 2 :: cfg.n_s][:k].copy())
+        if len(rows) < need:  # the recording ended
+            break
+        # Copies: views would keep the whole batch alive through the next read.
+        start, rows, times = start + step, rows[step:].copy(), times[step:].copy()
     if not curve_scores:
         return np.empty(0), np.empty(0), 0.0
-    return np.concatenate(curve_times), np.concatenate(curve_scores), window * hop_s
+    return np.concatenate(curve_times), np.concatenate(curve_scores), window * head.hop_s
 
 
 def _fixed_block_scores(rows: np.ndarray, window: int, cfg: BicConfig) -> np.ndarray:

@@ -83,7 +83,7 @@ import numpy as np
 import numpy.fft  # load it now; numpy would load it lazily, in the first transform
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio_io import AudioBuffer, _frame_grid, _frame_signal, plan_from_seconds
+from .audio_io import AudioBuffer, _frame_range, _frame_signal, _frame_times, plan_from_seconds
 from .errors import PreconditionError
 
 SPECTRAL_FLOOR = 1e-10
@@ -351,7 +351,7 @@ def pitch_track(buffer: AudioBuffer, cfg: PitchConfig | None = None) -> PitchTra
     """Run the configured detector over every frame of a recording."""
     cfg = cfg or PitchConfig()
     n, hop = plan_from_seconds(buffer, cfg.frame_len_s, cfg.hop_s)
-    frames, times = _frame_grid(len(buffer), buffer.sample_rate_hz, n, hop)
+    frames = _frame_range(len(buffer), n, hop)
     if not frames:
         raise PreconditionError("audio shorter than one frame")
     pitch = np.empty(len(frames))
@@ -372,4 +372,4 @@ def pitch_track(buffer: AudioBuffer, cfg: PitchConfig | None = None) -> PitchTra
         m = min(block, len(frames) - start)
         buffer.span(start * hop, (start + m - 1) * hop + n, store)
         pitch[start : start + m] = _pitch_block(seg, n, hop, m, buffer.sample_rate_hz, cfg, work)
-    return PitchTrack(times=times, pitch_hz=pitch)
+    return PitchTrack(times=_frame_times(frames, hop, buffer.sample_rate_hz), pitch_hz=pitch)

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .audio_io import AudioBuffer
 from .bic import BicConfig, _thin_peaks, detect_fixed, detect_growing, verify_change
 from .errors import FormatError, PreconditionError
 from .evaluation import DEFAULT_TOLERANCE_S, ChangePointSet
-from .features import MfccConfig, mfcc, mfcc_blocks
+from .features import MfccConfig, mfcc
 from .pitch import PitchConfig, PitchTrack, pitch_track
 
 
@@ -206,7 +207,7 @@ def build_method(name: str, cfg: RunConfig):
         return lambda buffer: segment(buffer, cfg.seg)
     if name in ("bic-grow", "bic-fixed"):
         # The growing sweep reads back rows before its window, so it takes the whole
-        # feature matrix; the fixed sweep takes the MFCC blocks as they are computed.
+        # feature matrix; the fixed sweep reads the rows of each batch of windows by range.
         grow = name == "bic-grow"
 
         def run(buffer: AudioBuffer) -> SegmentationResult:
@@ -214,7 +215,7 @@ def build_method(name: str, cfg: RunConfig):
             if grow:
                 points = detect_growing(mfcc(buffer, cfg.seg.mfcc), cfg.seg.bic)
             else:
-                points = detect_fixed(mfcc_blocks(buffer, cfg.seg.mfcc), cfg.seg.bic)
+                points = detect_fixed(partial(mfcc, buffer, cfg.seg.mfcc), cfg.seg.bic)
             return _result([p.time_s for p in points], buffer, len(points), start)
 
         return run

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from speakerseg.audio_io import (
     AudioBuffer,
-    _frame_grid,
+    _frame_range,
     _frame_signal,
+    _frame_times,
     load_wav,
     plan_from_seconds,
     write_wav,
@@ -284,9 +285,9 @@ class TestFrames:
 
     def test_exact_fit_starts_at_zero(self):
         assert _frame_signal(np.arange(200) / 1000.0, 200, 80).shape == (1, 200)
-        frames, times = _frame_grid(200, 8000, 200, 80)
+        frames = _frame_range(200, 200, 80)
         assert frames == range(1)
-        assert times.tolist() == [0.0]
+        assert _frame_times(frames, 80, 8000).tolist() == [0.0]
 
     def test_frame_contents_match_slices(self):
         rng = np.random.default_rng(1)
@@ -301,12 +302,12 @@ class TestFrames:
             _frame_signal(np.zeros(1000, dtype="<i2"), 200, 80)
 
     def test_frame_times(self):
-        _, times = _frame_grid(1000, 8000, 200, 80)
+        times = _frame_times(_frame_range(1000, 200, 80), 80, 8000)
         assert len(times) == 11
         steps = np.diff(times)
         assert np.allclose(steps, 80 / 8000)
         assert np.all(steps > 0)
-        _, tail = _frame_grid(1000, 8000, 200, 80, slice(9, None))
+        tail = _frame_times(_frame_range(1000, 200, 80, slice(9, None)), 80, 8000)
         assert np.array_equal(tail, times[9:])
 
     @given(
@@ -319,7 +320,7 @@ class TestFrames:
         rows = _frame_signal(np.zeros(n), window, hop)
         expected = 0 if n < window else (n - window) // hop + 1
         assert len(rows) == expected
-        assert len(_frame_grid(n, 8000, window, hop)[0]) == expected
+        assert len(_frame_range(n, window, hop)) == expected
 
     def test_plan_validation(self):
         buf = AudioBuffer(samples=np.zeros(8000), sample_rate_hz=8000)

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from speakerseg.bic import (
     verify_change,
 )
 from speakerseg.errors import PreconditionError
-from speakerseg.features import FeatureMatrix, mfcc, mfcc_blocks
+from speakerseg.features import FeatureMatrix, MfccConfig, mfcc
 from speakerseg.synth import SynthSpec, synth_to_files
 
 
@@ -451,61 +452,66 @@ class TestDetectFixed:
         assert len(times) == len(scores) > 0
         assert np.all(np.diff(times) > 0)
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        d=st.integers(1, 4),
-        window=st.integers(2, 40),
-        n_s=st.integers(1, 60),
-        n=st.integers(0, 500),
-        sizes=st.lists(st.integers(0, 90), min_size=1, max_size=6).filter(any),
-        seed=st.integers(0, 2**32 - 1),
+    @pytest.mark.parametrize(
+        "window, n_s", [(100, 50), (200, 50), (40, 70)], ids=["100-50", "200-50", "gaps"]
     )
-    def test_blocks_score_as_the_matrix(self, d, window, n_s, n, sizes, seed):
-        """Rows fed in blocks of any sizes, empty ones included, give every time, score
-        and change point the bits of the same rows in one FeatureMatrix."""
-        rng = np.random.default_rng(seed)
-        rows = rng.normal(0.0, 1.0, (n, d))
-        rows[n // 3 :] += rng.uniform(-3.0, 3.0, d)
-        features = FeatureMatrix(rows, np.arange(n) * 0.01)
+    @pytest.mark.parametrize("n", [2, 99, 1650, 1700, 3280, 3350, 5037])
+    def test_each_row_is_read_once(self, window, n_s, n):
+        """The sweep reads each batch of _FIXED_BLOCK windows in one call and carries the
+        rows that the next batch shares: its reads are disjoint and in order, none longer
+        than a batch, and they cover every row that a window covers."""
+        rng = np.random.default_rng(n)
+        features = FeatureMatrix(rng.normal(0.0, 1.0, (n, 3)), np.arange(n) * 0.01)
+        reads = []
+
+        def read(rows):
+            reads.append(range(*rows.indices(n)))
+            return FeatureMatrix(features.vectors[rows], features.times[rows])
+
         cfg = BicConfig(n_s=n_s, fixed_window_s=window * 0.01)
+        times, scores = fixed_window_scores(read, cfg)
         want_times, want_scores = fixed_window_scores(features, cfg)
-        got_times, got_scores = fixed_window_scores(in_blocks(features, sizes), cfg)
-        assert got_times.tobytes() == want_times.tobytes()
-        assert got_scores.tobytes() == want_scores.tobytes()
-        assert detect_fixed(in_blocks(features, sizes), cfg) == detect_fixed(features, cfg)
+        assert times.tobytes() == want_times.tobytes()
+        assert scores.tobytes() == want_scores.tobytes()
+        batch = (bic._FIXED_BLOCK - 1) * n_s + window
+        assert all(len(r) <= batch for r in reads)
+        assert all(a.stop <= b.start for a, b in zip(reads, reads[1:]))
+        read_rows = [i for r in reads for i in r]
+        starts = list(range(0, n - window + 1, n_s))
+        if not starts:  # no window fits: the first batch's read finds the end
+            assert read_rows == list(range(n))
+            return
+        # A batch's rows run from its first window's start to its last window's end, which
+        # takes in the rows between its windows when n_s > window. The rows after the last
+        # window, fewer than n_s, are read too: a short read is how the sweep finds the end.
+        per = bic._FIXED_BLOCK
+        batches = [starts[i : i + per] for i in range(0, len(starts), per)]
+        want = {i for b in batches for i in range(b[0], b[-1] + window)}
+        tail = set(range(starts[-1] + window, n))
+        assert len(tail) < n_s
+        assert set(read_rows) == want | tail
+        covered = {i for j in starts for i in range(j, j + window)}
+        assert covered <= want and (n_s > window or want == covered)
 
     def test_mfcc_blocks_give_the_golden_points(self, tmp_path):
-        """The CLI's bic-fixed run streams mfcc_blocks: TestGoldenScores's points."""
+        """The CLI's bic-fixed run reads its rows through partial(mfcc, buffer, cfg), a
+        batch at a time: TestGoldenScores's points."""
         wav = tmp_path / "golden.wav"
         spec = SynthSpec(n_speakers=6, duration_s=10.0, noise_level=0.02, seed=42)
         synth_to_files(spec, wav, tmp_path / "golden.txt")
         buffer = load_wav(wav)
-        streamed = detect_fixed(mfcc_blocks(buffer), BicConfig())
+        streamed = detect_fixed(partial(mfcc, buffer, MfccConfig()), BicConfig())
         assert len(streamed) == 5
         assert streamed == detect_fixed(mfcc(buffer), BicConfig())
         result = pitch_seg.build_method("bic-fixed", pitch_seg.RunConfig())(buffer)
         assert result.change_points.times.tolist() == [p.time_s for p in streamed]
 
-    def test_blocks_out_of_order_rejected(self):
-        features = two_cluster_features(n_per_side=200)
-        late, early = FeatureMatrix(features.vectors[200:], features.times[200:]), features
-        with pytest.raises(ValueError, match="increasing"):
-            fixed_window_scores([late, early], BicConfig())
-
     def test_no_blocks_no_scores(self):
-        times, scores = fixed_window_scores(iter([]), BicConfig())
+        """A reader with no rows gives no scores."""
+        empty = FeatureMatrix(np.empty((0, 13)), np.empty(0))
+        times, scores = fixed_window_scores(lambda rows: empty, BicConfig())
         assert len(times) == len(scores) == 0
-        assert detect_fixed(iter([]), BicConfig()) == []
-
-
-def in_blocks(features, sizes):
-    """The rows of features as consecutive FeatureMatrix blocks, sized by cycling through
-    sizes, one of which must be positive."""
-    start, i = 0, 0
-    while start < len(features):
-        stop = start + sizes[i % len(sizes)]
-        yield FeatureMatrix(features.vectors[start:stop], features.times[start:stop])
-        start, i = stop, i + 1
+        assert detect_fixed(lambda rows: empty, BicConfig()) == []
 
 
 class TestVerifyChange:

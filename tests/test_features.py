@@ -11,7 +11,6 @@ from speakerseg.features import (
     hz_to_mel,
     mel_filterbank,
     mfcc,
-    mfcc_blocks,
 )
 
 from conftest import buffer_from, sine
@@ -37,6 +36,11 @@ class TestGeometry:
 
     def test_hop_from_overlap(self):
         assert MfccConfig(window_len=200, overlap=120).hop == 80
+
+    @pytest.mark.parametrize("step", [-1, 0])
+    def test_rows_that_step_backwards_rejected(self, step):
+        with pytest.raises(ValueError, match="rows must have a positive step"):
+            mfcc(buffer_from(np.zeros(1000)), MfccConfig(), slice(None, None, step))
 
     def test_too_short_buffer(self):
         with pytest.raises(PreconditionError):
@@ -112,19 +116,6 @@ class TestValues:
                     assert part.vectors.shape == whole.vectors[span].shape
                     assert part.vectors.tobytes() == whole.vectors[span].tobytes(), where
                     assert part.times.tobytes() == whole.times[span].tobytes(), where
-
-    def test_blocks_are_the_rows_of_mfcc(self, monkeypatch):
-        for block in BLOCK_SIZES:
-            monkeypatch.setattr(features, "_BLOCK_ROWS", block)
-            buf = buffer_from(three_block_samples())
-            for span in (slice(None), slice(block - 12, 2 * block + 5), slice(7, 8)):
-                whole = mfcc(buf, MfccConfig(), span)
-                parts = list(mfcc_blocks(buf, MfccConfig(), span))
-                assert [len(p) for p in parts[:-1]] == [block] * (len(parts) - 1)
-                vectors = np.concatenate([p.vectors for p in parts])
-                times = np.concatenate([p.times for p in parts])
-                assert vectors.tobytes() == whole.vectors.tobytes(), (block, span)
-                assert times.tobytes() == whole.times.tobytes(), (block, span)
 
     def test_no_product_starts_blas_threads(self, monkeypatch):
         """OpenBLAS runs a product of under 65,536 x 4 multiply-adds on the calling

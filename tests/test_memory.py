@@ -28,11 +28,11 @@ from conftest import harmonic_tone
 FS = 8000
 GROWTH_LIMIT_BYTES = 2_000_000
 # Working memory of one mfcc or detect_growing call, whose buffers are allocated once
-# per call and sized by a block. Measured on x86-64 with numpy 2.4: mfcc 1.41 MB on 30 s
+# per call and sized by a block. Measured on x86-64 with numpy 2.4: mfcc 1.38 MB on 30 s
 # of 8 kHz PCM16 (1.61 MB with its magnitude spectra in an array of their own, 2.99 MB
 # when each block allocated its own buffers), detect_growing 1.46 MB at the default
 # sizes (2.49 MB when each start and refinement did). The bound leaves a margin of
-# 0.54 MB, 37%, over the larger. mfcc's own bound leaves 0.19 MB, 14%, and fails with
+# 0.54 MB, 37%, over the larger. mfcc's own bound leaves 0.22 MB, 16%, and fails with
 # the separate magnitude array.
 WORKING_LIMIT_BYTES = 2_000_000
 MFCC_LIMIT_BYTES = 1_600_000
@@ -89,7 +89,7 @@ def test_pitch_track_working_memory_on_dipless_frames(kind):
     """The AMDF falls back to each frame's global minimum when no lag is a deep
     enough dip. White noise takes that fallback on every frame; silence, whose
     every lag is a dip at 0 <= 0.5 * 0, on none. Either stays within the bound of
-    one call's working memory: 1.21 and 1.22 MB measured on x86-64 with numpy 2.4."""
+    one call's working memory: 1.17 MB each, measured on x86-64 with numpy 2.4."""
     buffer = noise_buffer(60, True)
     if kind == "silence":
         buffer = AudioBuffer(np.zeros(len(buffer), "<i2"), FS, 32768.0)
