@@ -39,11 +39,13 @@ window around a detected change, its sums centred at that window's mean.
 One `_GrowingWindow` serves a whole `detect_growing` call. It holds
 n + 1 slots of sums for the most rows a window can hold, n_max or the
 whole recording if shorter, and every start, slide and refinement, the
-first start included, restarts it in them. It factors its sides
-_SPLIT_CHUNK splits at a time, through batch arrays allocated with it,
-so a sweep's working memory is set by n_max and the chunk, not by the
-length of the recording or the number of starts. Neither changes a bit
-of a score: each matrix is summed and factored on its own.
+first start included, restarts it in them. It keeps only the lower
+triangle of each outer-product sum, all that a Cholesky factorization
+reads, and factors its sides _SPLIT_CHUNK splits at a time, through
+batch arrays allocated with it, so a sweep's working memory is set by
+n_max and the chunk, not by the length of the recording or the number
+of starts. None of this changes a bit of a score: each matrix is summed
+and factored on its own, and a full sum is symmetric bit for bit.
 
 A running sum adds the rows before split b one by one where `delta_bic`
 multiplies them out, so the two scores of split b differ in the last
@@ -92,9 +94,9 @@ DEFAULT_REG_EPSILON = 1e-6
 _FIXED_BLOCK = 32
 
 # Sides per batch of _GrowingWindow, factored through arrays allocated once per sweep.
-# A sweep's working memory at the default sizes is 1.22 MB at 64, 1.46 MB at 128,
-# 1.74 MB at 192 and 2.02 MB at 256: above 128 it passes mfcc's 1.6 MB and would raise
-# the BIC methods' peak.
+# A sweep's working memory at the default sizes is 0.89 MB at 64, 1.18 MB at 128,
+# 1.50 MB at 192 and 1.83 MB at 256 (x86-64, numpy 2.4), against mfcc's 1.12 MB on 30 s
+# at 8 kHz: above 128 it raises bic-grow's peak. At 64 the sweep took 9% longer.
 _SPLIT_CHUNK = 128
 
 # verify_change's tolerance on row start times, in seconds: far above the
@@ -299,21 +301,37 @@ class _GrowingWindow:
     its slot, its right side the window's slot less its own, and its left log-determinant
     is factored once, when a window first admits the split.
 
+    sums holds each slot's sum of rows, and outer the lower triangle of its sum of outer
+    products, packed row by row into d(d + 1)/2 values: the Cholesky factorization reads
+    no other entry. A batch of sides is taken and subtracted packed, then expanded to full
+    symmetric matrices through the mirror index. No bit changes: full sums are symmetric
+    bit for bit, since x_i x_j and x_j x_i are one product and the running sums and their
+    differences work entry by entry.
+
     Its arrays are allocated once, for windows of up to n rows of d features, and restart
     begins a new start in them: detect_growing keeps one for its whole sweep, and refine
     scores the window around a change in the sweep's. Sides are factored _SPLIT_CHUNK at
-    a time in batch arrays of their own.
+    a time in batch arrays of their own, and the products of new rows are formed in them
+    _SPLIT_CHUNK rows at a time.
     """
 
     def __init__(self, n: int, d: int):
+        rows, cols = np.tril_indices(d)
+        # Flat (d, d) positions of the packed entries, and the packed entry of every (d, d)
+        # position: entry (i, j) of a symmetric matrix is entry (max(i, j), min(i, j)).
+        self.lower = rows * d + cols
+        self.mirror = np.empty((d, d), dtype=np.intp)
+        self.mirror[rows, cols] = self.mirror[cols, rows] = np.arange(len(rows))
         self.sums = np.empty((n + 1, d))
-        self.outer = np.empty((n + 1, d, d))
+        self.outer = np.empty((n + 1, len(rows)))
         self.left = np.empty(n + 1)
-        # _ml_log_dets's sums, outer and products for one batch of sides.
+        # _ml_log_dets's sums, outer and products for one batch of sides, and its packed
+        # sides. best_split also forms the products of new rows in outer.
         self.batch = (
             np.empty((_SPLIT_CHUNK, d)),
             np.empty((_SPLIT_CHUNK, d, d)),
             np.empty((_SPLIT_CHUNK, d, d)),
+            np.empty((_SPLIT_CHUNK, len(rows))),
         )
 
     def restart(self, rows: np.ndarray, size: int, min_b: int):
@@ -338,7 +356,11 @@ class _GrowingWindow:
         # Slot j + 1 adds row j to slot j, from the last slot summed on.
         sums, outer = self.sums[known : size + 1], self.outer[known : size + 1]
         np.subtract(self.rows[known:size], self.centre, out=sums[1:])
-        np.multiply(sums[1:, :, None], sums[1:, None, :], out=outer[1:])
+        for i in range(1, size - known + 1, _SPLIT_CHUNK):
+            part = sums[i : i + _SPLIT_CHUNK]
+            full = np.multiply(part[:, :, None], part[:, None, :], out=self.batch[1][: len(part)])
+            packed = outer[i : i + len(part)]
+            np.take(full.reshape(len(part), -1), self.lower, axis=1, out=packed, mode="clip")
         np.cumsum(sums, axis=0, out=sums)
         np.cumsum(outer, axis=0, out=outer)
         self.summed = size
@@ -373,36 +395,24 @@ class _GrowingWindow:
         """_ml_log_dets of the left sides of these splits, or given size of their right sides
         in rows[:size], factored _SPLIT_CHUNK at a time in the batch arrays."""
         log_dets = np.empty(len(splits))
-        batch_sums, batch_outer, products = self.batch
+        batch_sums, batch_outer, products, batch_packed = self.batch
         for i in range(0, len(splits), _SPLIT_CHUNK):
             part = splits[i : i + _SPLIT_CHUNK]
             sums, outer = batch_sums[: len(part)], batch_outer[: len(part)]
+            packed = batch_packed[: len(part)]
             # mode="clip" takes into out directly, where the default would buffer a copy.
             np.take(self.sums, part, axis=0, out=sums, mode="clip")
-            np.take(self.outer, part, axis=0, out=outer, mode="clip")
+            np.take(self.outer, part, axis=0, out=packed, mode="clip")
             count = part
             if size is not None:
                 np.subtract(self.sums[size], sums, out=sums)
-                np.subtract(self.outer[size], outer, out=outer)
+                np.subtract(self.outer[size], packed, out=packed)
                 count = size - part
+            np.take(packed, self.mirror, axis=1, out=outer, mode="clip")
             log_dets[i : i + len(part)] = _ml_log_dets(
                 sums, outer, count, reg_epsilon, products[: len(part)]
             )
         return log_dets
-
-
-def fixed_window_scores(
-    features: FeatureMatrix | Callable[[slice], FeatureMatrix], cfg: BicConfig | None = None
-):
-    """Center-split score curve of the sliding fixed window.
-
-    features is a FeatureMatrix, or a function that returns the rows of a
-    recording's feature matrix that a slice selects, as
-    `partial(mfcc, buffer, cfg)` does. Returns (times, scores) where each
-    time is the center row's start time.
-    """
-    times, scores, _ = _fixed_sweep(features, cfg or BicConfig())
-    return times, scores
 
 
 def detect_fixed(
@@ -410,9 +420,12 @@ def detect_fixed(
 ) -> list[ChangePoint]:
     """Fixed-window sweep: positive local maxima of the center-split curve.
 
-    features is a FeatureMatrix or a function of a row slice, as for
-    fixed_window_scores. Non-maximum suppression keeps only the strongest
-    peak within one window span; ties break toward the earlier time.
+    features is a FeatureMatrix, or a function that returns the rows of a
+    recording's feature matrix that a slice selects, as
+    `partial(mfcc, buffer, cfg)` does. Each curve point is a window's
+    center-split score at its center row's start time. Non-maximum
+    suppression keeps only the strongest peak within one window span; ties
+    break toward the earlier time.
     """
     times, scores, span_s = _fixed_sweep(features, cfg or BicConfig())
     if len(scores) == 0:

@@ -29,9 +29,12 @@ block nor the row range shows in a row.
 The blocks of one call also share their windowed frames, in one
 zero-tailed (rows, nfft) array that rfft reads whole, so numpy pads no
 copy of its own; a block's magnitude spectra overwrite the head of its
-frames once rfft has read them. A block allocates only rfft's complex
-output, its small products and its rows, and the working memory of a
-call is set by _BLOCK_ROWS, not by the length.
+frames once rfft has read them. rfft transforms each block in two halves
+of _BLOCK_ROWS // 2 rows, so only half a block's complex spectra exist
+at once; each row is transformed on its own, so the halves change no
+bit. A block allocates only those spectra, its small products and its
+rows, and the working memory of a call is set by _BLOCK_ROWS, not by
+the length.
 """
 
 from __future__ import annotations
@@ -60,10 +63,11 @@ LOG_FLOOR = 1e-10
 #    256     92-94 / 47    / 8.0-8.5 ms                        1.59 MB
 #    512     89-91 / 44-45 / 7.8 ms                            3.18 MB
 #
-# At 256 rows the working memory is now 1.34 MB on 30 s at 8 kHz
-# (tracemalloc's peak less the result). The block no longer sets
-# whether OpenBLAS starts threads: every product is cut to
-# _MIN_PRODUCT_ROWS rows, whatever the block.
+# At 256 rows the working memory is now 1.08 MB on 30 s at 8 kHz
+# (tracemalloc's peak less the result; 1.34 MB with a whole block's
+# complex spectra at once). The block no longer sets whether OpenBLAS
+# starts threads: every product is cut to _MIN_PRODUCT_ROWS rows,
+# whatever the block.
 _BLOCK_ROWS = 256
 
 # OpenBLAS computes a matrix product with other kernels, whose last bits
@@ -218,6 +222,10 @@ def mfcc(
     a time, each block written into the result.
     """
     cfg = cfg or MfccConfig()
+    if not isinstance(cfg, MfccConfig):
+        raise TypeError(
+            f"cfg must be an MfccConfig, not {type(cfg).__name__}; pass a row range as rows="
+        )
     if len(buffer) < cfg.window_len:
         raise PreconditionError("audio shorter than one analysis window")
     frames = _frame_range(len(buffer), cfg.window_len, cfg.hop, rows)
@@ -238,6 +246,7 @@ def mfcc(
     # allocated first, a bic-fixed run on 180 s at 16 kHz took 6,111 page faults, not 350,
     # and 5% more time (x86-64, glibc 2.36, numpy 2.4).
     vectors = np.empty((len(frames), cfg.n_coeffs))
+    half = _BLOCK_ROWS // 2  # rows per transform: only half a block's spectra exist at once
     span = None  # the first block's samples; later blocks convert into it, as in pitch_track
     for start in range(0, len(frames), _BLOCK_ROWS):
         block = frames[start : start + _BLOCK_ROWS]
@@ -246,7 +255,8 @@ def mfcc(
         framed = _frame_signal(span, cfg.window_len, block.step * cfg.hop)
         np.multiply(framed, window, out=windowed[:k, : cfg.window_len])
         magnitude = windowed[:k, : nfft // 2 + 1]
-        np.abs(np.fft.rfft(windowed[:k], axis=1), out=magnitude)
+        for h in range(0, k, half):
+            np.abs(np.fft.rfft(windowed[h : min(h + half, k)], axis=1), out=magnitude[h : h + half])
         log_energies = _product(magnitude, bank_t)
         log_energies += LOG_FLOOR
         np.log(log_energies, out=log_energies)

@@ -19,7 +19,6 @@ from speakerseg.bic import (
     detect_fixed,
     detect_growing,
     fit_gaussian,
-    fixed_window_scores,
     penalty,
     verify_change,
 )
@@ -448,7 +447,7 @@ class TestDetectFixed:
 
     def test_score_curve_export(self):
         features = two_cluster_features(n_per_side=200)
-        times, scores = fixed_window_scores(features, BicConfig())
+        times, scores = bic._fixed_sweep(features, BicConfig())[:2]
         assert len(times) == len(scores) > 0
         assert np.all(np.diff(times) > 0)
 
@@ -469,8 +468,8 @@ class TestDetectFixed:
             return FeatureMatrix(features.vectors[rows], features.times[rows])
 
         cfg = BicConfig(n_s=n_s, fixed_window_s=window * 0.01)
-        times, scores = fixed_window_scores(read, cfg)
-        want_times, want_scores = fixed_window_scores(features, cfg)
+        times, scores = bic._fixed_sweep(read, cfg)[:2]
+        want_times, want_scores = bic._fixed_sweep(features, cfg)[:2]
         assert times.tobytes() == want_times.tobytes()
         assert scores.tobytes() == want_scores.tobytes()
         batch = (bic._FIXED_BLOCK - 1) * n_s + window
@@ -506,10 +505,16 @@ class TestDetectFixed:
         result = pitch_seg.build_method("bic-fixed", pitch_seg.RunConfig())(buffer)
         assert result.change_points.times.tolist() == [p.time_s for p in streamed]
 
+    def test_reader_without_mfcc_config_rejected(self, two_speaker_buffer):
+        """partial(mfcc, buffer) would pass each row slice as mfcc's config."""
+        buffer, _ = two_speaker_buffer
+        with pytest.raises(TypeError, match="pass a row range as rows="):
+            detect_fixed(partial(mfcc, buffer), BicConfig())
+
     def test_no_blocks_no_scores(self):
         """A reader with no rows gives no scores."""
         empty = FeatureMatrix(np.empty((0, 13)), np.empty(0))
-        times, scores = fixed_window_scores(lambda rows: empty, BicConfig())
+        times, scores = bic._fixed_sweep(lambda rows: empty, BicConfig())[:2]
         assert len(times) == len(scores) == 0
         assert detect_fixed(lambda rows: empty, BicConfig()) == []
 
@@ -705,7 +710,7 @@ class TestBatchedKernel:
         features = FeatureMatrix(rows, np.arange(n) * 0.01)
         # At a 0.01 s hop, window * 0.01 s is exactly window rows.
         cfg = BicConfig(n_s=n_s, fixed_window_s=window * 0.01, lam=float(rng.uniform(0.0, 2.0)))
-        times, scores = fixed_window_scores(features, cfg)
+        times, scores = bic._fixed_sweep(features, cfg)[:2]
         starts = range(0, n - window + 1, n_s)
         half = window // 2
         assert times.tolist() == [features.times[s + half] for s in starts]
@@ -743,7 +748,7 @@ class TestBatchedKernel:
             b = int(rng.integers(1, n))
             rows = rng.normal(0.0, 1.0, (n + 3 * k, d)) * rng.uniform(0.1, 10.0, d)
             rows[rng.integers(0, len(rows)) :] += rng.uniform(-3.0, 3.0, d)
-            # Overlapping windows three rows apart, as fixed_window_scores views them.
+            # Overlapping windows three rows apart, as the fixed sweep views them.
             windows = np.swapaxes(sliding_window_view(rows, n, axis=0)[::3][:k], 1, 2)
             lam = float(rng.uniform(0.0, 2.0))
             eps = float(10.0 ** rng.uniform(-8, -3))
@@ -803,3 +808,55 @@ class TestBatchedKernel:
             assert_first_max_of_delta_bic(rows[lo : lo + span], splits, b - lo, score)
         assert {"start", "end", ""} <= clamped
 
+    def test_packed_sides_expand_to_full_running_sums(self, monkeypatch):
+        """_GrowingWindow keeps the lower triangles of its outer-product sums, and every
+        side that reaches _ml_log_dets has the bits of full (d, d) running sums: across
+        _SPLIT_CHUNK boundaries of the new rows and of the sides, after a restart and in a
+        refinement."""
+        d = 13
+        rng = np.random.default_rng(8)
+        vectors = rng.normal(0.0, 1.0, (500, d)) * rng.uniform(0.1, 10.0, d)
+        seen = []
+        ml_log_dets = bic._ml_log_dets
+
+        def record(sums, outer, count, reg_epsilon, products=None):
+            seen.append((sums.copy(), outer.copy(), np.array(count)))
+            return ml_log_dets(sums, outer, count, reg_epsilon, products)
+
+        monkeypatch.setattr(bic, "_ml_log_dets", record)
+
+        def check(rows, first, size):
+            """Compare the sides of one best_split of rows[:size] with full sums centred at
+            the mean of rows[:first]; return the number of sides in each batch."""
+            centred = rows[:size] - rows[:first].mean(axis=0)
+            sums, outer = np.zeros((size + 1, d)), np.zeros((size + 1, d, d))
+            sums[1:] = centred
+            np.multiply(centred[:, :, None], centred[:, None, :], out=outer[1:])
+            np.cumsum(sums, axis=0, out=sums)
+            np.cumsum(outer, axis=0, out=outer)
+            # The left sides come first; the right sides begin with the whole window.
+            right = next(i for i, (_, _, count) in enumerate(seen) if count[0] == size)
+            for i, (got_sums, got_outer, count) in enumerate(seen):
+                if i < right:
+                    want_sums, want_outer = sums[count], outer[count]
+                else:
+                    b = size - count
+                    want_sums, want_outer = sums[size] - sums[b], outer[size] - outer[b]
+                assert got_sums.tobytes() == want_sums.tobytes()
+                assert got_outer.tobytes() == want_outer.tobytes()
+            batches = [len(count) for _, _, count in seen]
+            seen.clear()
+            return batches
+
+        window = _GrowingWindow(400, d)
+        window.restart(vectors[:400], 100, 0)
+        window.best_split(100, 1.0, 1e-6)
+        assert check(vectors, 100, 100) == [73, 74]
+        # 250 new rows and 250 new left sides, 128 at a time, then 324 right sides.
+        window.best_split(350, 1.0, 1e-6)
+        assert check(vectors, 100, 350) == [128, 122, 128, 128, 68]
+        window.restart(vectors[50:450], 200, 30)
+        window.best_split(200, 1.0, 1e-6)
+        check(vectors[50:450], 200, 200)
+        window.refine(vectors, 300, 200, 1.0, 1e-6)
+        check(vectors[200:400], 200, 200)

@@ -42,6 +42,10 @@ class TestGeometry:
         with pytest.raises(ValueError, match="rows must have a positive step"):
             mfcc(buffer_from(np.zeros(1000)), MfccConfig(), slice(None, None, step))
 
+    def test_row_slice_as_cfg_rejected(self):
+        with pytest.raises(TypeError, match="pass a row range as rows="):
+            mfcc(buffer_from(np.zeros(1000)), slice(0, 2))
+
     def test_too_short_buffer(self):
         with pytest.raises(PreconditionError):
             mfcc(buffer_from(np.zeros(100)), MfccConfig())

@@ -27,15 +27,18 @@ from conftest import harmonic_tone
 
 FS = 8000
 GROWTH_LIMIT_BYTES = 2_000_000
-# Working memory of one mfcc or detect_growing call, whose buffers are allocated once
-# per call and sized by a block. Measured on x86-64 with numpy 2.4: mfcc 1.38 MB on 30 s
-# of 8 kHz PCM16 (1.61 MB with its magnitude spectra in an array of their own, 2.99 MB
-# when each block allocated its own buffers), detect_growing 1.46 MB at the default
-# sizes (2.49 MB when each start and refinement did). The bound leaves a margin of
-# 0.54 MB, 37%, over the larger. mfcc's own bound leaves 0.22 MB, 16%, and fails with
-# the separate magnitude array.
+# Working memory of one pitch_track call on dipless frames (see its test).
 WORKING_LIMIT_BYTES = 2_000_000
-MFCC_LIMIT_BYTES = 1_600_000
+# Working memory of one mfcc or detect_growing call, whose buffers are allocated once
+# per call and sized by a block. Measured on x86-64 with numpy 2.4: mfcc 1.12 MB on 30 s
+# of 8 kHz PCM16 (1.38 MB with a whole block's complex spectra at once, 1.61 MB with its
+# magnitude spectra in an array of their own as well, 2.99 MB when each block allocated
+# its own buffers), detect_growing 1.18 MB at the default sizes (1.46 MB with full
+# (d, d) outer-product sums, 2.49 MB when each start and refinement allocated its own
+# arrays). mfcc's bound leaves a margin of 0.18 MB, 16%, and detect_growing's 0.22 MB,
+# 18%; each fails with the larger arrays.
+MFCC_LIMIT_BYTES = 1_300_000
+GROWING_LIMIT_BYTES = 1_400_000
 
 
 def working_bytes(fn, buffer, result_bytes):
@@ -131,7 +134,7 @@ def test_load_wav_reads_only_the_headers(tmp_path):
 
 def test_pitch_cli_run_holds_no_copy_of_the_recording(tmp_path):
     """A 600 s, 8 kHz mono file is 9.6 MB; the run's peak is its working memory
-    and its 60,000-frame pitch track (0.96 MB). Measured at 2.18 MB on x86-64 with
+    and its 60,000-frame pitch track (0.96 MB). Measured at 2.01 MB on x86-64 with
     numpy 2.4, against 12.07 MB while load_wav kept the file's bytes."""
     wav = tmp_path / "long.wav"
     turn = np.concatenate([harmonic_tone(130, FS, 5 * FS), harmonic_tone(200, FS, 5 * FS)])
@@ -163,8 +166,9 @@ def test_fixed_method_working_memory_bounded():
 
 def test_fixed_cli_run_holds_no_feature_matrix(tmp_path):
     """A 600 s, 16 kHz mono file is 19.2 MB and its 120,000 MFCC rows 13.4 MB with their
-    times; the run's peak is its working memory. Measured at 1.91 MB on x86-64 with
-    numpy 2.4, against 15.06 MB while detect_fixed took the whole feature matrix."""
+    times; the run's peak is its working memory. Measured at 1.53 MB on x86-64 with
+    numpy 2.4 (1.79 MB while mfcc held a whole block's complex spectra at once), against
+    15.06 MB while detect_fixed took the whole feature matrix."""
     wav = tmp_path / "long.wav"
     rate = 16000
     turn = np.concatenate([harmonic_tone(130, rate, 5 * rate), harmonic_tone(200, rate, 5 * rate)])
@@ -246,14 +250,14 @@ def test_growing_sweep_working_memory_bounded():
 
 def test_growing_sweep_working_memory():
     features = speaker_features(60.0)
-    assert working_bytes(detect_growing, features, change_point_bytes) < WORKING_LIMIT_BYTES
+    assert working_bytes(detect_growing, features, change_point_bytes) < GROWING_LIMIT_BYTES
 
 
 def test_growing_sweep_working_memory_on_a_short_recording():
     """A recording shorter than n_max rows sizes the sweep's sums by its own rows.
-    Measured on x86-64 with numpy 2.4 on 300 rows: 1.01 MB, against 1.44 MB when the
-    sums held n_max + 1 = 601 slots whatever the length. The bound leaves a margin of
-    0.19 MB, 19%."""
+    Measured on x86-64 with numpy 2.4 on 300 rows: 0.92 MB (1.01 MB with full (d, d)
+    outer-product sums), against 1.44 MB when the sums held n_max + 1 = 601 slots
+    whatever the length. The bound leaves a margin of 0.16 MB, 17%."""
     features = speaker_features(3.0)
     assert len(features) == 300 < BicConfig().n_max
-    assert working_bytes(detect_growing, features, change_point_bytes) < 1_200_000
+    assert working_bytes(detect_growing, features, change_point_bytes) < 1_080_000
